@@ -71,12 +71,19 @@ nettorture-smoke: build
 # Wire-query smoke: a paranoid in-process server (every served XPath/twig
 # answer re-verified against the scan evaluator over the same snapshot
 # rows) under the read-heavy 95/5 query/mutation mix. Any protocol error
-# or paranoid divergence fails the run.
+# or paranoid divergence fails the run. The second pass serves
+# 2500-node documents, where about half the nodes sit under a same-name
+# ancestor, so the structural joins run over long streams of nested
+# contexts; the scan cross-check makes it the slow half (about 14 s on a
+# 2-core host).
 query-smoke: build
-	rm -rf _build/query-smoke
+	rm -rf _build/query-smoke _build/query-smoke-deep
 	dune exec bin/xmlrepro.exe -- loadgen --self-serve --paranoid \
 	  --root _build/query-smoke --clients 4 --docs 2 --ops 4000 --seed 3 \
 	  --nodes 60 --query-pct 95 --schemes QED,ORDPATH
+	dune exec bin/xmlrepro.exe -- loadgen --self-serve --paranoid \
+	  --root _build/query-smoke-deep --clients 2 --docs 2 --ops 240 --seed 5 \
+	  --nodes 2500 --query-pct 95 --schemes QED,ORDPATH
 
 # Schema-migration smoke: the offline per-scheme storm (every operator
 # kind, oracle-replay verified on a byte-identical twin — any

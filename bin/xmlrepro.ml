@@ -310,8 +310,8 @@ let twig_cmd =
         (fun (r : Repro_encoding.Encoding.row) ->
           Printf.printf "pre=%-4d %s\n" r.Repro_encoding.Encoding.pre r.name)
         rows
-    | exception Repro_encoding.Twig.Parse_error msg ->
-      Format.eprintf "twig error: %s@." msg;
+    | exception Repro_encoding.Twig.Parse_error e ->
+      Format.eprintf "%a@." Repro_encoding.Twig.pp_error e;
       exit 1
   in
   let pattern = Arg.(required & pos 0 (some string) None & info [] ~docv:"PATTERN") in

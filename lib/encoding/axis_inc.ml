@@ -14,17 +14,18 @@ let kind_of = function
   | Tree.Element -> Encoding.Element
   | Tree.Attribute -> Encoding.Attribute
 
-(* One node's slot in the plane. The parent link is the parent's stable
-   node id, not its pre rank — renumbering a window must not have to
-   rewrite the children's cells. *)
-type cell = {
-  x_id : int;  (* Tree node id *)
-  x_post : int;  (* sparse post rank *)
-  x_kind : Encoding.kind;
-  x_parent : int;  (* parent's node id; -1 at the document element *)
-  x_level : int;
-  x_name : string;
-  x_value : string option;
+(* One node's slot in the plane: the axis source's node record itself, so
+   a rank lookup hands out the stored cell without allocating. The parent
+   link is the parent's stable node id, not its pre rank — renumbering a
+   window must not have to rewrite the children's cells. *)
+type cell = Axis_source.node = {
+  n_post : int;  (* sparse post rank *)
+  n_kind : Encoding.kind;
+  n_level : int;
+  n_key : int;  (* Tree node id *)
+  n_parent : int;  (* parent's node id; -1 at the document element *)
+  n_name : string;
+  n_value : string option;
 }
 
 (* All maps are persistent, so a snapshot is the record itself: O(1) to
@@ -87,20 +88,20 @@ let add_cell snap (pre, c) =
   {
     snap with
     plane = Imap.add pre c snap.plane;
-    pre_of = Imap.add c.x_id pre snap.pre_of;
-    post_of = Imap.add c.x_post pre snap.post_of;
-    names = names_add c.x_name pre snap.names;
-    kids = (if c.x_parent < 0 then snap.kids else iset_add c.x_parent pre snap.kids);
+    pre_of = Imap.add c.n_key pre snap.pre_of;
+    post_of = Imap.add c.n_post pre snap.post_of;
+    names = names_add c.n_name pre snap.names;
+    kids = (if c.n_parent < 0 then snap.kids else iset_add c.n_parent pre snap.kids);
   }
 
 let remove_cell snap (pre, c) =
   {
     snap with
     plane = Imap.remove pre snap.plane;
-    pre_of = Imap.remove c.x_id snap.pre_of;
-    post_of = Imap.remove c.x_post snap.post_of;
-    names = names_remove c.x_name pre snap.names;
-    kids = (if c.x_parent < 0 then snap.kids else iset_remove c.x_parent pre snap.kids);
+    pre_of = Imap.remove c.n_key snap.pre_of;
+    post_of = Imap.remove c.n_post snap.post_of;
+    names = names_remove c.n_name pre snap.names;
+    kids = (if c.n_parent < 0 then snap.kids else iset_remove c.n_parent pre snap.kids);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -197,8 +198,8 @@ let apply_pre_remaps snap remaps =
           {
             s with
             plane = Imap.remove o s.plane;
-            names = names_remove c.x_name o s.names;
-            kids = (if c.x_parent < 0 then s.kids else iset_remove c.x_parent o s.kids);
+            names = names_remove c.n_name o s.names;
+            kids = (if c.n_parent < 0 then s.kids else iset_remove c.n_parent o s.kids);
           })
         snap items
     in
@@ -207,10 +208,10 @@ let apply_pre_remaps snap remaps =
         {
           s with
           plane = Imap.add n c s.plane;
-          pre_of = Imap.add c.x_id n s.pre_of;
-          post_of = Imap.add c.x_post n s.post_of;
-          names = names_add c.x_name n s.names;
-          kids = (if c.x_parent < 0 then s.kids else iset_add c.x_parent n s.kids);
+          pre_of = Imap.add c.n_key n s.pre_of;
+          post_of = Imap.add c.n_post n s.post_of;
+          names = names_add c.n_name n s.names;
+          kids = (if c.n_parent < 0 then s.kids else iset_add c.n_parent n s.kids);
         })
       snap items
   end
@@ -228,7 +229,7 @@ let apply_post_remaps snap remaps =
         {
           s with
           post_of = Imap.add n pre s.post_of;
-          plane = Imap.add pre { c with x_post = n } s.plane;
+          plane = Imap.add pre { c with n_post = n } s.plane;
         })
       snap items
   end
@@ -248,13 +249,13 @@ let build_snap doc =
     cells :=
       ( pre,
         {
-          x_id = n.Tree.id;
-          x_post = !post_ctr * gap;
-          x_kind = kind_of n.Tree.kind;
-          x_parent = parent_id;
-          x_level = level;
-          x_name = n.Tree.name;
-          x_value = n.Tree.value;
+          n_key = n.Tree.id;
+          n_post = !post_ctr * gap;
+          n_kind = kind_of n.Tree.kind;
+          n_parent = parent_id;
+          n_level = level;
+          n_name = n.Tree.name;
+          n_value = n.Tree.value;
         } )
       :: !cells
   in
@@ -283,7 +284,7 @@ let rec subtree_tail n = match Tree.last_child n with Some c -> subtree_tail c |
    [n] leads its sibling list. 0 when nothing precedes. *)
 let rec pred_post snap n =
   match Tree.prev_sibling n with
-  | Some s -> (Imap.find (Imap.find s.Tree.id snap.pre_of) snap.plane).x_post
+  | Some s -> (Imap.find (Imap.find s.Tree.id snap.pre_of) snap.plane).n_post
   | None -> (
     match Tree.parent n with Some p -> pred_post snap p | None -> 0)
 
@@ -316,7 +317,7 @@ let on_insert t n =
   po n;
   List.iter2 (fun id post -> Hashtbl.replace post_of_id id post) (List.rev !order) posts;
   let levels = Hashtbl.create 16 in
-  let parent_level = (Imap.find (Imap.find parent.Tree.id snap.pre_of) snap.plane).x_level in
+  let parent_level = (Imap.find (Imap.find parent.Tree.id snap.pre_of) snap.plane).n_level in
   let rec lv l x =
     Hashtbl.replace levels x.Tree.id l;
     List.iter (lv (l + 1)) (Tree.children x)
@@ -328,13 +329,13 @@ let on_insert t n =
         add_cell s
           ( pre,
             {
-              x_id = node.Tree.id;
-              x_post = Hashtbl.find post_of_id node.Tree.id;
-              x_kind = kind_of node.Tree.kind;
-              x_parent = (Option.get (Tree.parent node)).Tree.id;
-              x_level = Hashtbl.find levels node.Tree.id;
-              x_name = node.Tree.name;
-              x_value = node.Tree.value;
+              n_key = node.Tree.id;
+              n_post = Hashtbl.find post_of_id node.Tree.id;
+              n_kind = kind_of node.Tree.kind;
+              n_parent = (Option.get (Tree.parent node)).Tree.id;
+              n_level = Hashtbl.find levels node.Tree.id;
+              n_name = node.Tree.name;
+              n_value = node.Tree.value;
             } ))
       snap sub pres
   in
@@ -359,7 +360,7 @@ let on_rename t n old =
   t.snap <-
     {
       snap with
-      plane = Imap.add pre { c with x_name = n.Tree.name } snap.plane;
+      plane = Imap.add pre { c with n_name = n.Tree.name } snap.plane;
       names = names_add n.Tree.name pre (names_remove old pre snap.names);
       s_rev = Tree.revision t.doc;
     }
@@ -371,7 +372,7 @@ let on_value t n =
   t.snap <-
     {
       snap with
-      plane = Imap.add pre { c with x_value = n.Tree.value } snap.plane;
+      plane = Imap.add pre { c with n_value = n.Tree.value } snap.plane;
       s_rev = Tree.revision t.doc;
     }
 
@@ -403,107 +404,37 @@ let snapshot t = t.snap
 (* Reading a snapshot                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let row_of snap pre (c : cell) : Encoding.row =
-  {
-    Encoding.pre;
-    post = c.x_post;
-    kind = c.x_kind;
-    parent_pre = (if c.x_parent < 0 then None else Some (Imap.find c.x_parent snap.pre_of));
-    level = c.x_level;
-    name = c.x_name;
-    value = c.x_value;
-  }
+let to_array set =
+  let a = Array.make (Iset.cardinal set) 0 and i = ref 0 in
+  Iset.iter
+    (fun x ->
+      a.(!i) <- x;
+      incr i)
+    set;
+  a
 
-let rows snap =
-  List.rev (Imap.fold (fun pre c acc -> row_of snap pre c :: acc) snap.plane [])
-
+(* Every entry is one map lookup; a cell is handed out as it is stored. *)
 let source snap : Axis_source.t =
-  let row pre = row_of snap pre (Imap.find pre snap.plane) in
-  let rows_of_set set = List.rev (Iset.fold (fun p acc -> row p :: acc) set []) in
-  let cell (r : Encoding.row) = Imap.find r.Encoding.pre snap.plane in
-  let child_set (r : Encoding.row) =
-    Option.value (Imap.find_opt (cell r).x_id snap.kids) ~default:Iset.empty
-  in
-  let elements rs = List.filter (fun (r : Encoding.row) -> r.Encoding.kind = Element) rs in
-  let parent (r : Encoding.row) =
-    let c = cell r in
-    if c.x_parent < 0 then None else Some (row (Imap.find c.x_parent snap.pre_of))
-  in
-  let descendants (r : Encoding.row) =
-    let stop = r.Encoding.post in
-    let rec take seq =
-      match seq () with
-      | Seq.Cons ((pre, c), rest) when c.x_post < stop -> row_of snap pre c :: take rest
-      | _ -> []
-    in
-    take (Imap.to_seq_from (r.Encoding.pre + 1) snap.plane)
-  in
+  let set_of m k find = match find k m with Some set -> to_array set | None -> [||] in
   {
-    Axis_source.all = (fun () -> rows snap);
-    root = (fun () -> let pre, c = Imap.min_binding snap.plane in row_of snap pre c);
-    children = (fun r -> elements (rows_of_set (child_set r)));
-    attributes =
-      (fun r ->
-        List.filter
-          (fun (x : Encoding.row) -> x.Encoding.kind = Attribute)
-          (rows_of_set (child_set r)));
-    parent;
-    ancestors =
-      (fun r ->
-        let rec up acc r =
-          match parent r with Some p -> up (p :: acc) p | None -> acc
-        in
-        up [] r);
-    descendants =
-      (fun r -> List.filter (fun (x : Encoding.row) -> x.Encoding.kind <> Attribute) (descendants r));
-    following =
-      (fun r ->
-        let rec skip seq =
-          match seq () with
-          | Seq.Cons ((_, c), rest) when c.x_post < r.Encoding.post -> skip rest
-          | node -> fun () -> node
-        in
-        let rec take seq =
-          match seq () with
-          | Seq.Cons ((pre, c), rest) ->
-            if c.x_kind = Encoding.Attribute then take rest
-            else row_of snap pre c :: take rest
-          | Seq.Nil -> []
-        in
-        take (skip (Imap.to_seq_from (r.Encoding.pre + 1) snap.plane)));
-    preceding =
-      (fun r ->
-        let rec take seq =
-          match seq () with
-          | Seq.Cons ((pre, c), rest) when pre < r.Encoding.pre ->
-            if c.x_kind <> Encoding.Attribute && c.x_post < r.Encoding.post then
-              row_of snap pre c :: take rest
-            else take rest
-          | _ -> []
-        in
-        take (Imap.to_seq snap.plane));
-    following_siblings =
-      (fun r ->
-        match parent r with
-        | None -> []
-        | Some p ->
-          List.filter
-            (fun (x : Encoding.row) -> x.Encoding.pre > r.Encoding.pre)
-            (elements (rows_of_set (child_set p))));
-    preceding_siblings =
-      (fun r ->
-        match parent r with
-        | None -> []
-        | Some p ->
-          List.filter
-            (fun (x : Encoding.row) -> x.Encoding.pre < r.Encoding.pre)
-            (elements (rows_of_set (child_set p))));
-    by_name =
-      (fun name ->
+    ranks = (fun name -> set_of snap.names name Smap.find_opt);
+    more_than =
+      (fun name k ->
         match Smap.find_opt name snap.names with
-        | Some set -> rows_of_set set
-        | None -> []);
+        | Some set -> not (Seq.is_empty (Seq.drop k (Iset.to_seq set)))
+        | None -> false);
+    node = (fun pre -> Imap.find pre snap.plane);
+    children_of = (fun id -> set_of snap.kids id Imap.find_opt);
+    rank_of_key = (fun id -> Imap.find id snap.pre_of);
+    scan =
+      (fun from f ->
+        let rec go seq =
+          match seq () with Seq.Cons ((pre, c), rest) -> if f pre c then go rest | Seq.Nil -> ()
+        in
+        go (Imap.to_seq_from from snap.plane));
   }
+
+let rows snap = Rank_join.rows (source snap) (Rank_join.of_list (Imap.bindings snap.plane))
 
 (* ------------------------------------------------------------------ *)
 (* Verification (--paranoid / the test suite)                          *)
@@ -525,14 +456,14 @@ let verify t =
     List.iteri (fun i (pre, _) -> Hashtbl.replace pos pre i) sparse;
     let problem = ref None in
     let check i (d : Encoding.row) (pre, c) =
-      let where what = Printf.sprintf "row %d (%s): %s" i c.x_name what in
+      let where what = Printf.sprintf "row %d (%s): %s" i c.n_name what in
       let fail what = if !problem = None then problem := Some (where what) in
-      if c.x_id <> (Encoding.node_of_row enc d).Tree.id then fail "node id differs";
-      if c.x_kind <> d.Encoding.kind then fail "kind differs";
-      if c.x_name <> d.Encoding.name then fail "name differs";
-      if c.x_value <> d.Encoding.value then fail "value differs";
-      if c.x_level <> d.Encoding.level then fail "level differs";
-      (match (d.Encoding.parent_pre, c.x_parent) with
+      if c.n_key <> (Encoding.node_of_row enc d).Tree.id then fail "node id differs";
+      if c.n_kind <> d.Encoding.kind then fail "kind differs";
+      if c.n_name <> d.Encoding.name then fail "name differs";
+      if c.n_value <> d.Encoding.value then fail "value differs";
+      if c.n_level <> d.Encoding.level then fail "level differs";
+      (match (d.Encoding.parent_pre, c.n_parent) with
       | None, -1 -> ()
       | None, p -> fail (Printf.sprintf "parent %d where rebuilt has none" p)
       | Some _, -1 -> fail "no parent where rebuilt has one"
@@ -541,17 +472,17 @@ let verify t =
         | None -> fail "parent not in pre_of"
         | Some ppre ->
           if Hashtbl.find_opt pos ppre <> Some dp then fail "parent rank order differs"));
-      (match Imap.find_opt c.x_id snap.pre_of with
+      (match Imap.find_opt c.n_key snap.pre_of with
       | Some p when p = pre -> ()
       | _ -> fail "pre_of out of sync");
-      (match Imap.find_opt c.x_post snap.post_of with
+      (match Imap.find_opt c.n_post snap.post_of with
       | Some p when p = pre -> ()
       | _ -> fail "post_of out of sync");
-      (match Smap.find_opt c.x_name snap.names with
+      (match Smap.find_opt c.n_name snap.names with
       | Some set when Iset.mem pre set -> ()
       | _ -> fail "name index out of sync");
-      if c.x_parent >= 0 then
-        match Imap.find_opt c.x_parent snap.kids with
+      if c.n_parent >= 0 then
+        match Imap.find_opt c.n_parent snap.kids with
         | Some set when Iset.mem pre set -> ()
         | _ -> fail "child index out of sync"
     in
@@ -563,7 +494,7 @@ let verify t =
          reproduce the rebuilt postorder permutation *)
       let by_sparse_post =
         List.map snd
-          (List.sort compare (List.map (fun (pre, c) -> (c.x_post, Hashtbl.find pos pre)) sparse))
+          (List.sort compare (List.map (fun (pre, c) -> (c.n_post, Hashtbl.find pos pre)) sparse))
       in
       let by_dense_post =
         List.map snd (List.sort compare (List.map (fun (d : Encoding.row) -> (d.Encoding.post, d.Encoding.pre)) dense))

@@ -2,203 +2,23 @@ open Encoding
 
 type t = {
   rows : row array;  (* document (pre) order; row i has pre = i *)
-  by_parent : (int, row list) Hashtbl.t;  (* element children, reversed *)
-  attrs_by_parent : (int, row list) Hashtbl.t;
-  names : (string, row list) Hashtbl.t;  (* reversed during build *)
+  kids : (int, int list) Hashtbl.t;  (* parent pre -> child pres, attributes included *)
+  names : (string, row list) Hashtbl.t;
 }
 
+(* Pushing the rows back to front leaves every bucket in document order. *)
 let build enc =
   let rows = Array.of_list (Encoding.rows enc) in
   Array.iteri (fun i r -> assert (r.pre = i)) rows;
-  let by_parent = Hashtbl.create (Array.length rows) in
-  let attrs_by_parent = Hashtbl.create 16 in
-  let names = Hashtbl.create 64 in
+  let kids = Hashtbl.create (Array.length rows) and names = Hashtbl.create 64 in
   let push tbl k v = Hashtbl.replace tbl k (v :: Option.value (Hashtbl.find_opt tbl k) ~default:[]) in
-  Array.iter
-    (fun r ->
-      (match r.parent_pre with
-      | Some p -> push (if r.kind = Attribute then attrs_by_parent else by_parent) p r
-      | None -> ());
-      push names r.name r)
-    rows;
-  (* The buckets were built back-to-front. Reversing them in place while
-     iterating would mutate the table under its own iterator, but copying
-     the whole table just to get a stable key sequence (the old trick)
-     duplicates every bucket; collecting the keys once is enough. *)
-  let rev tbl =
-    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-    List.iter (fun k -> Hashtbl.replace tbl k (List.rev (Hashtbl.find tbl k))) keys
-  in
-  rev by_parent;
-  rev attrs_by_parent;
-  rev names;
-  { rows; by_parent; attrs_by_parent; names }
+  for i = Array.length rows - 1 downto 0 do
+    Option.iter (fun p -> push kids p i) rows.(i).parent_pre;
+    push names rows.(i).name rows.(i)
+  done;
+  { rows; kids; names }
 
 let size t = Array.length t.rows
-let all t = Array.to_list t.rows
-let root t = t.rows.(0)
-
-(* Descendants of a node occupy the contiguous pre-range just after it;
-   the first row whose post exceeds the context's post ends the subtree.
-   Binary search for that boundary. *)
-let subtree_end t (ctx : row) =
-  let n = Array.length t.rows in
-  let rec go lo hi =
-    (* invariant: rows in [ctx.pre+1, lo) are descendants; [hi, n) are not *)
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if t.rows.(mid).post < ctx.post then go (mid + 1) hi else go lo mid
-    end
-  in
-  go (ctx.pre + 1) n
-
-let slice t lo hi =
-  let acc = ref [] in
-  for i = hi - 1 downto lo do
-    acc := t.rows.(i) :: !acc
-  done;
-  !acc
-
-let descendants t ctx = slice t (ctx.pre + 1) (subtree_end t ctx)
-
-let children t ctx = Option.value (Hashtbl.find_opt t.by_parent ctx.pre) ~default:[]
-
-let attributes t ctx = Option.value (Hashtbl.find_opt t.attrs_by_parent ctx.pre) ~default:[]
-
-let parent t ctx =
-  match ctx.parent_pre with Some p -> Some t.rows.(p) | None -> None
-
-let ancestors t ctx =
-  let rec go acc r =
-    match parent t r with Some p -> go (p :: acc) p | None -> acc
-  in
-  go [] ctx
-
-(* Everything after the context's subtree is exactly the following axis
-   (minus attributes, which the caller's node test handles). *)
-let following t ctx =
-  List.filter (fun r -> r.kind <> Attribute) (slice t (subtree_end t ctx) (Array.length t.rows))
-
-(* Before the context in pre order, minus its ancestors. *)
-let preceding t ctx =
-  let anc = ancestors t ctx in
-  List.filter
-    (fun r -> r.kind <> Attribute && not (List.memq r anc))
-    (slice t 0 ctx.pre)
-
-let siblings_with t ctx keep =
-  match ctx.parent_pre with
-  | None -> []
-  | Some p ->
-    List.filter keep
-      (Option.value (Hashtbl.find_opt t.by_parent p) ~default:[])
-
-let following_siblings t ctx = siblings_with t ctx (fun r -> r.pre > ctx.pre)
-let preceding_siblings t ctx = siblings_with t ctx (fun r -> r.pre < ctx.pre)
-
+let row t pre = t.rows.(pre)
+let children t pre = Option.value (Hashtbl.find_opt t.kids pre) ~default:[]
 let by_name t name = Option.value (Hashtbl.find_opt t.names name) ~default:[]
-
-(* ------------------------------------------------------------------ *)
-(* Stack-based structural join (Al-Khalifa et al., ICDE 2002)          *)
-(* ------------------------------------------------------------------ *)
-
-let check_sorted what l =
-  let rec go = function
-    | (a : row) :: (b :: _ as rest) ->
-      if a.pre >= b.pre then
-        invalid_arg (Printf.sprintf "Axis_index.structural_join: %s not in document order" what);
-      go rest
-    | _ -> ()
-  in
-  go l
-
-(* The stack holds the current chain of nested ancestor candidates. A
-   descendant candidate pairs with every stacked ancestor that contains
-   it; ancestors are popped once the cursor passes their post rank. *)
-let structural_join ~ancestors ~descendants =
-  check_sorted "ancestor list" ancestors;
-  check_sorted "descendant list" descendants;
-  let out = ref [] in
-  let stack = ref [] in
-  let pop_expired (r : row) =
-    let rec go = function
-      | (a : row) :: rest when a.post < r.post -> go rest
-      | s -> s
-    in
-    stack := go !stack
-  in
-  let rec merge alist dlist =
-    match (alist, dlist) with
-    | a :: arest, (d : row) :: _ when a.pre < d.pre ->
-      pop_expired a;
-      stack := a :: !stack;
-      merge arest dlist
-    | _, d :: drest ->
-      pop_expired d;
-      List.iter
-        (fun (a : row) -> if a.pre < d.pre && d.post < a.post then out := (a, d) :: !out)
-        !stack;
-      merge alist drest
-    | _, [] -> ()
-  in
-  merge ancestors descendants;
-  List.rev !out
-
-let semijoin_descendants ~ancestors ~candidates =
-  check_sorted "ancestor list" ancestors;
-  check_sorted "candidate list" candidates;
-  let out = ref [] in
-  let stack = ref [] in
-  let pop_expired (r : row) =
-    let rec go = function
-      | (a : row) :: rest when a.post < r.post -> go rest
-      | s -> s
-    in
-    stack := go !stack
-  in
-  let rec merge alist dlist =
-    match (alist, dlist) with
-    | (a : row) :: arest, (d : row) :: _ when a.pre < d.pre ->
-      pop_expired a;
-      stack := a :: !stack;
-      merge arest dlist
-    | _, d :: drest ->
-      pop_expired d;
-      if List.exists (fun (a : row) -> a.pre < d.pre && d.post < a.post) !stack then
-        out := d :: !out;
-      merge alist drest
-    | _, [] -> ()
-  in
-  merge ancestors candidates;
-  List.rev !out
-
-let semijoin_ancestors ~candidates ~descendants =
-  check_sorted "candidate list" candidates;
-  check_sorted "descendant list" descendants;
-  let matched = Hashtbl.create 16 in
-  let stack = ref [] in
-  let pop_expired (r : row) =
-    let rec go = function
-      | (a : row) :: rest when a.post < r.post -> go rest
-      | s -> s
-    in
-    stack := go !stack
-  in
-  let rec merge alist dlist =
-    match (alist, dlist) with
-    | (a : row) :: arest, (d : row) :: _ when a.pre < d.pre ->
-      pop_expired a;
-      stack := a :: !stack;
-      merge arest dlist
-    | _, d :: drest ->
-      pop_expired d;
-      List.iter
-        (fun (a : row) ->
-          if a.pre < d.pre && d.post < a.post then Hashtbl.replace matched a.pre ())
-        !stack;
-      merge alist drest
-    | _, [] -> ()
-  in
-  merge candidates descendants;
-  List.filter (fun (a : row) -> Hashtbl.mem matched a.pre) candidates

@@ -1,17 +1,11 @@
-(** Axis evaluation primitives over the pre/post plane.
+(** The dense pre/post index of one encoding, rebuilt per revision.
 
     §3.1.1: "the evaluation of a location step on a major XPath axis
     (ancestor, descendant, following, preceding) amounts to a rectangular
-    region query in the pre/post labelled plane" [Grust]. This module
-    makes the claim operational: descendants and following nodes are
-    contiguous pre-ranges found by binary search, parents and children go
-    through a parent index, and name tests go through a name index — so a
-    location step costs O(log n + answer) instead of a document scan.
-
-    It also implements the stack-based {e structural join} of Al-Khalifa
-    et al. (ICDE 2002), the paper's citation [1]: merging a pre-sorted
-    ancestor candidate list with a pre-sorted descendant candidate list in
-    one pass. *)
+    region query in the pre/post labelled plane" [Grust]. Rows sit in an
+    array at their pre rank, with each node's children and a name index
+    beside them; {!Axis_source.of_index} serves them to the XPath engine and the
+    twig matcher, whose structural joins are {!Rank_join}'s. *)
 
 type t
 
@@ -19,49 +13,12 @@ val build : Encoding.t -> t
 
 val size : t -> int
 
-val all : t -> Encoding.row list
-(** Every row, in document order. *)
+val row : t -> int -> Encoding.row
+(** The row with that pre rank. *)
 
-val root : t -> Encoding.row
-(** The document element (pre rank 0). *)
-
-(** {1 Region queries} — results in document order. *)
-
-val descendants : t -> Encoding.row -> Encoding.row list
-val children : t -> Encoding.row -> Encoding.row list
-(** Element children only (attributes excluded, as on the XPath axis). *)
-
-val attributes : t -> Encoding.row -> Encoding.row list
-val parent : t -> Encoding.row -> Encoding.row option
-val ancestors : t -> Encoding.row -> Encoding.row list
-(** Root first. *)
-
-val following : t -> Encoding.row -> Encoding.row list
-val preceding : t -> Encoding.row -> Encoding.row list
-val following_siblings : t -> Encoding.row -> Encoding.row list
-val preceding_siblings : t -> Encoding.row -> Encoding.row list
+val children : t -> int -> int list
+(** The pre ranks of a node's children, attributes included, in document
+    order. *)
 
 val by_name : t -> string -> Encoding.row list
 (** All rows with that name, in document order. *)
-
-(** {1 Structural join} *)
-
-val structural_join :
-  ancestors:Encoding.row list ->
-  descendants:Encoding.row list ->
-  (Encoding.row * Encoding.row) list
-(** [structural_join ~ancestors ~descendants] is every (a, d) pair with
-    [a] a strict ancestor of [d], both inputs in document order, computed
-    by the stack-based single-pass merge. Output is ordered by descendant.
-    Raises [Invalid_argument] if an input is not pre-sorted. *)
-
-val semijoin_descendants :
-  ancestors:Encoding.row list -> candidates:Encoding.row list -> Encoding.row list
-(** The candidates that have at least one ancestor in [ancestors];
-    the work-horse of a [//a//b] step. Single pass, document order. *)
-
-val semijoin_ancestors :
-  candidates:Encoding.row list -> descendants:Encoding.row list -> Encoding.row list
-(** The candidates that contain at least one of [descendants] in their
-    subtree — the other half of a twig step. Single pass, document
-    order. *)

@@ -1,32 +1,47 @@
 open Encoding
 
-type t = {
-  all : unit -> row list;
-  root : unit -> row;
-  children : row -> row list;
-  attributes : row -> row list;
-  parent : row -> row option;
-  ancestors : row -> row list;
-  descendants : row -> row list;
-  following : row -> row list;
-  preceding : row -> row list;
-  following_siblings : row -> row list;
-  preceding_siblings : row -> row list;
-  by_name : string -> row list;
+type node = {
+  n_post : int;
+  n_kind : kind;
+  n_level : int;
+  n_key : int;
+  n_parent : int;
+  n_name : string;
+  n_value : string option;
 }
 
+type t = {
+  ranks : string -> int array;
+  more_than : string -> int -> bool;
+  node : int -> node;
+  children_of : int -> int array;
+  rank_of_key : int -> int;
+  scan : int -> (int -> node -> bool) -> unit;
+}
+
+(* The dense index keys nodes by their pre rank, which is also their
+   position in its row array. *)
 let of_index idx =
+  let node pre =
+    let r = Axis_index.row idx pre in
+    { n_post = r.post; n_kind = r.kind; n_level = r.level; n_key = pre;
+      n_parent = Option.value r.parent_pre ~default:(-1); n_name = r.name; n_value = r.value }
+  in
   {
-    all = (fun () -> Axis_index.all idx);
-    root = (fun () -> Axis_index.root idx);
-    children = Axis_index.children idx;
-    attributes = Axis_index.attributes idx;
-    parent = Axis_index.parent idx;
-    ancestors = Axis_index.ancestors idx;
-    descendants = Axis_index.descendants idx;
-    following = Axis_index.following idx;
-    preceding = Axis_index.preceding idx;
-    following_siblings = Axis_index.following_siblings idx;
-    preceding_siblings = Axis_index.preceding_siblings idx;
-    by_name = Axis_index.by_name idx;
+    ranks = (fun name -> Array.of_list (List.map (fun r -> r.pre) (Axis_index.by_name idx name)));
+    more_than = (fun name k -> List.compare_length_with (Axis_index.by_name idx name) k > 0);
+    node;
+    children_of = (fun pre -> Array.of_list (Axis_index.children idx pre));
+    rank_of_key = Fun.id;
+    scan =
+      (fun from f ->
+        let rec go pre = pre < Axis_index.size idx && f pre (node pre) && go (pre + 1) in
+        ignore (go (max 0 from)));
   }
+
+let root src =
+  let first = ref None in
+  src.scan min_int (fun pre n ->
+      first := Some (pre, n);
+      false);
+  Option.get !first

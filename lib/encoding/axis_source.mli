@@ -3,30 +3,45 @@
     {!Axis_index} answers the §3.1.1 region queries from a dense array
     rebuilt per revision; {!Axis_inc} answers the same queries from
     persistent maps maintained incrementally under updates. Both plug into
-    the XPath engine and the twig matcher through this record of axis
-    functions, so query evaluation is written once against whatever index
-    happens to back it.
+    the XPath engine and the twig matcher through this record of
+    rank-level entries, so query evaluation is written once against
+    whatever index happens to back it:
 
-    Contracts carried over from {!Axis_index}: every function returns rows
-    in document order; [children] and the sibling axes yield element rows
-    only; [descendants], [following] and [preceding] exclude attributes;
-    [ancestors] is root-first; [by_name] includes attribute rows. Rows may
-    carry {e sparse} pre/post ranks — only their relative order is
-    meaningful, which is all the region predicates need. *)
+    - [ranks name] is the name's occurrences (attributes included) as
+      increasing pre ranks — what {!Rank_join} streams are made of — and
+      [more_than name k] whether there are more than [k] of them, in
+      O(min(k, occurrences)): what choosing a step's route costs;
+    - [node pre] is everything the joins, node tests and answers need of
+      one rank, from a single lookup;
+    - [children_of key] is a node's children (attributes included) by the
+      key [node] reports, and [rank_of_key] turns a key back into a pre
+      rank — the one extra lookup a full row costs;
+    - [scan pre f] visits the nodes from rank [pre] on in document order
+      while [f] returns [true]: the region scans of the remaining axes.
+
+    Ranks may be {e sparse}: only their relative order is meaningful,
+    which is all the region predicates need. *)
+
+type node = {
+  n_post : int;
+  n_kind : Encoding.kind;
+  n_level : int;
+  n_key : int;  (** this node's key for [children_of]; not a rank *)
+  n_parent : int;  (** the parent's key; -1 at the document element *)
+  n_name : string;
+  n_value : string option;
+}
 
 type t = {
-  all : unit -> Encoding.row list;
-  root : unit -> Encoding.row;
-  children : Encoding.row -> Encoding.row list;
-  attributes : Encoding.row -> Encoding.row list;
-  parent : Encoding.row -> Encoding.row option;
-  ancestors : Encoding.row -> Encoding.row list;
-  descendants : Encoding.row -> Encoding.row list;
-  following : Encoding.row -> Encoding.row list;
-  preceding : Encoding.row -> Encoding.row list;
-  following_siblings : Encoding.row -> Encoding.row list;
-  preceding_siblings : Encoding.row -> Encoding.row list;
-  by_name : string -> Encoding.row list;
+  ranks : string -> int array;
+  more_than : string -> int -> bool;
+  node : int -> node;
+  children_of : int -> int array;
+  rank_of_key : int -> int;
+  scan : int -> (int -> node -> bool) -> unit;
 }
 
 val of_index : Axis_index.t -> t
+
+val root : t -> int * node
+(** The document element. *)

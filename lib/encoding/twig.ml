@@ -2,9 +2,12 @@ type axis = Child | Descendant
 
 type t = { name : string; branches : (axis * t) list }
 
-exception Parse_error of string
+type error = { position : int; message : string }
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
+exception Parse_error of error
+
+let pp_error ppf e = Format.fprintf ppf "twig error at offset %d: %s" e.position e.message
+let fail position message = raise (Parse_error { position; message })
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -23,7 +26,7 @@ let name c =
   while (match peek c with Some ch -> is_name_char ch | None -> false) do
     c.pos <- c.pos + 1
   done;
-  if c.pos = start then fail "expected a name at offset %d" start;
+  if c.pos = start then fail start "expected a name";
   String.sub c.src start (c.pos - start)
 
 (* node := name branch* ; branch := '[' path ']' ;
@@ -41,20 +44,12 @@ and parse_branches c acc =
     let branch = parse_path c in
     (match peek c with
     | Some ']' -> c.pos <- c.pos + 1
-    | _ -> fail "expected ']' at offset %d" c.pos);
+    | _ -> fail c.pos "expected ']'");
     parse_branches c (branch :: acc)
   | _ -> List.rev acc
 
-and parse_path c =
-  (* leading axis inside a branch defaults to child *)
-  let axis = parse_axis c ~default:Child in
-  let node = parse_node c in
-  match peek c with
-  | Some '/' ->
-    let next_axis = parse_axis c ~default:Child in
-    let rest_root = parse_rest c next_axis in
-    (axis, { node with branches = node.branches @ [ rest_root ] })
-  | _ -> (axis, node)
+(* a leading axis inside a branch defaults to child *)
+and parse_path c = parse_rest c (parse_axis c ~default:Child)
 
 and parse_rest c axis =
   let node = parse_node c in
@@ -76,10 +71,19 @@ and parse_axis c ~default =
     else Child
   | _ -> default
 
+(* Offsets count from the start of the text as given, surrounding blanks
+   included. *)
 let parse src =
-  let c = { src = String.trim src; pos = 0 } in
+  let c = { src; pos = 0 } in
+  let skip_blanks () =
+    while (match peek c with Some (' ' | '\t' | '\n' | '\r' | '\012') -> true | _ -> false) do
+      c.pos <- c.pos + 1
+    done
+  in
+  skip_blanks ();
   let t = parse_node c in
-  if c.pos <> String.length c.src then fail "trailing characters at offset %d" c.pos;
+  skip_blanks ();
+  if c.pos <> String.length src then fail c.pos "trailing characters";
   t
 
 let rec to_string t =
@@ -103,35 +107,20 @@ let matches_xpath_equivalent t =
 (* Matching: one semijoin per pattern edge, bottom-up                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Only the name index is needed: the semijoins and the parent test are
-   purely rank-relational, so any axis source — dense or incremental —
-   drives the same plan. *)
-let rec matches_src (src : Axis_source.t) t =
-  let base =
-    List.filter
-      (fun (r : Encoding.row) -> r.Encoding.kind = Encoding.Element)
-      (src.Axis_source.by_name t.name)
-  in
+(* Only the name index is needed: each pattern node is an element stream
+   narrowed by one kernel semijoin per branch, innermost branches first,
+   so any axis source — dense or incremental — drives the same plan. *)
+let rec select_src (src : Axis_source.t) t =
   List.fold_left
     (fun candidates (axis, branch) ->
-      if candidates = [] then []
-      else begin
-        let branch_matches = matches_src src branch in
+      if Rank_join.is_empty candidates then candidates
+      else
+        let below = select_src src branch in
         match axis with
-        | Descendant ->
-          Axis_index.semijoin_ancestors ~candidates ~descendants:branch_matches
-        | Child ->
-          let parents = Hashtbl.create 16 in
-          List.iter
-            (fun (r : Encoding.row) ->
-              match r.Encoding.parent_pre with
-              | Some p -> Hashtbl.replace parents p ()
-              | None -> ())
-            branch_matches;
-          List.filter
-            (fun (r : Encoding.row) -> Hashtbl.mem parents r.Encoding.pre)
-            candidates
-      end)
-    base t.branches
+        | Descendant -> Rank_join.having_descendant candidates below
+        | Child -> Rank_join.having_child candidates below)
+    (Rank_join.of_ranks src (src.ranks t.name)) t.branches
+
+let matches_src src t = Rank_join.rows src (select_src src t)
 
 let matches idx t = matches_src (Axis_source.of_index idx) t

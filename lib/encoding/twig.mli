@@ -24,9 +24,16 @@ type axis = Child | Descendant
 
 type t = { name : string; branches : (axis * t) list }
 
-exception Parse_error of string
+type error = { position : int; message : string }
+
+exception Parse_error of error
+
+val pp_error : Format.formatter -> error -> unit
 
 val parse : string -> t
+(** Raises {!Parse_error} with the byte offset of the fault in the text
+    as given. *)
+
 val to_string : t -> string
 
 val matches : Axis_index.t -> t -> Encoding.row list
@@ -34,8 +41,11 @@ val matches : Axis_index.t -> t -> Encoding.row list
 
 val matches_src : Axis_source.t -> t -> Encoding.row list
 (** Same plan over any axis source — only its name index is consulted; the
-    semijoins are rank-relational, so an {!Axis_inc} snapshot's sparse
-    ranks work unchanged. *)
+    {!Rank_join} semijoins are rank-relational, so an {!Axis_inc}
+    snapshot's sparse ranks work unchanged. *)
+
+val select_src : Axis_source.t -> t -> Rank_join.t
+(** {!matches_src}'s answer as a stream, without building its rows. *)
 
 val matches_xpath_equivalent : t -> string
 (** The XPath expression computing the same result navigationally. *)

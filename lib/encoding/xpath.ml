@@ -353,28 +353,19 @@ and parse_primary st =
     let e = parse_expr st in
     expect st Trparen ")";
     e
-  | Tname "not" when (match st.toks with _ :: (Tlparen, _) :: _ -> true | _ -> false) ->
+  | Tname ("not" | "position" | "last" | "count" as f)
+    when (match st.toks with _ :: (Tlparen, _) :: _ -> true | _ -> false) ->
     advance st;
     advance st;
-    let e = parse_expr st in
+    let e =
+      match f with
+      | "not" -> Not (parse_expr st)
+      | "position" -> Position
+      | "last" -> Last
+      | _ -> Count (parse_path st)
+    in
     expect st Trparen ")";
-    Not e
-  | Tname "position" when (match st.toks with _ :: (Tlparen, _) :: _ -> true | _ -> false) ->
-    advance st;
-    advance st;
-    expect st Trparen ")";
-    Position
-  | Tname "last" when (match st.toks with _ :: (Tlparen, _) :: _ -> true | _ -> false) ->
-    advance st;
-    advance st;
-    expect st Trparen ")";
-    Last
-  | Tname "count" when (match st.toks with _ :: (Tlparen, _) :: _ -> true | _ -> false) ->
-    advance st;
-    advance st;
-    let path = parse_path st in
-    expect st Trparen ")";
-    Count path
+    e
   | Tname _ | Tdot | Tddot | Tat | Tstar | Tslash | Tdslash -> Path (parse_path st)
   | _ -> fail p "expected an expression"
 
@@ -505,8 +496,10 @@ let rec positional_expr = function
   | Not e -> positional_expr e
   | Path _ | Literal _ | Number _ | Count _ -> false
 
-(* A bare number predicate [2] abbreviates [position() = 2]. *)
-let positional_pred = function Number _ -> true | e -> positional_expr e
+(* A predicate whose value is a number is compared with position(): [2]
+   abbreviates [position() = 2], and [count(x)] means
+   [position() = count(x)]. *)
+let positional_pred = function Number _ | Count _ -> true | e -> positional_expr e
 
 (* Collapse the '//' expansion — descendant-or-self::node()/child::T[ps]
    into descendant::T[ps] — whenever no predicate is positional. The two
@@ -538,222 +531,27 @@ and collapse_expr = function
 and collapse_path p = { p with steps = collapse_steps p.steps }
 
 (* ------------------------------------------------------------------ *)
-(* The evaluation engine                                               *)
+(* The evaluation engines                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Either a document scan over a materialised row list (the reference
-   semantics) or an axis source (§3.1.1 region queries, backed by the
-   batch or the incremental index). *)
-type engine =
-  | Scan of row list (* virtual root first, then document order *)
-  | Src of Axis_source.t
+(* Two routes to one semantics. The scan route filters the materialised
+   row list with the region predicates above: the reference, and the
+   oracle served answers are checked against. The source route carries
+   node sets as sorted rank streams over an axis source (§3.1.1 region
+   queries, backed by the batch or the incremental index): name-test
+   steps, the positional '//name[k]' pair, the sibling axes and
+   existential path predicates are {!Rank_join} joins and child-list
+   reads; every other step falls back to per-context region scans. Rows
+   are built only for the answer and for sub-path values a predicate
+   compares.
 
-(* Candidate generation through an axis source: each axis is an
-   O(log n + answer) lookup instead of a document scan. The virtual
-   document node is handled specially — it is not in any index. *)
-let source_candidates (src : Axis_source.t) (ctx : row) axis =
-  let non_attribute rs = List.filter (fun (r : row) -> r.kind <> Attribute) rs in
-  if is_virtual ctx then
-    match axis with
-    | Child -> [ src.root () ]
-    | Descendant -> non_attribute (src.all ())
-    | Descendant_or_self -> ctx :: non_attribute (src.all ())
-    | Self | Ancestor_or_self -> [ ctx ]
-    | Attribute | Parent | Ancestor | Following | Preceding | Following_sibling
-    | Preceding_sibling ->
-      []
-  else
-    match axis with
-    | Child -> src.children ctx
-    | Attribute -> src.attributes ctx
-    | Descendant -> non_attribute (src.descendants ctx)
-    | Descendant_or_self -> ctx :: non_attribute (src.descendants ctx)
-    | Self -> [ ctx ]
-    | Parent -> (
-      match src.parent ctx with Some p -> [ p ] | None -> [ virtual_root ])
-    | Ancestor -> virtual_root :: src.ancestors ctx
-    | Ancestor_or_self -> (virtual_root :: src.ancestors ctx) @ [ ctx ]
-    | Following -> src.following ctx
-    | Preceding -> src.preceding ctx
-    | Following_sibling -> src.following_siblings ctx
-    | Preceding_sibling -> src.preceding_siblings ctx
+   Predicates see a context of the route's own kind — a row for the scan,
+   a (pre rank, node) entry for the source — and evaluate sub-paths
+   through the route. *)
+type 'c engine = { nodes : 'c -> path -> row list; count : 'c -> path -> int }
 
-(* descendant::name through the name index: O(occurrences of the name)
-   instead of O(subtree). by_name is in document order and the subtree
-   test is a pre/post region check, so order is preserved. *)
-let by_name_descendants (src : Axis_source.t) (ctx : row) name =
-  List.filter
-    (fun (r : row) ->
-      r.kind <> Attribute
-      && if is_virtual ctx then not (is_virtual r)
-         else r.pre > ctx.pre && r.post < ctx.post)
-    (src.by_name name)
-
-let rec eval_path eng (ctx : row) (p : path) =
-  let start = if p.absolute then [ virtual_root ] else [ ctx ] in
-  let rec go nodes = function
-    | [] -> nodes
-    | s1 :: s2 :: rest when fusable_pair eng s1 s2 ->
-      go (eval_fused_descendant_child eng nodes s2) rest
-    | s :: rest -> go (eval_step eng nodes s) rest
-  in
-  go start p.steps
-
-(* The '//name[k]' positional form cannot be collapsed onto a single
-   descendant step (position() is per-parent), but its expansion
-   descendant-or-self::node()/child::name[..] doesn't have to materialise
-   every node as a context either: child-of-descendant-or-self(c) is
-   exactly descendant-of(c), grouped by parent. Fusing the step pair
-   turns it into one name-index probe. *)
-and fusable_pair eng s1 s2 =
-  match eng with
-  | Scan _ -> false
-  | Src _ -> (
-    s1.axis = Descendant_or_self && s1.test = Node && s1.predicates = []
-    && s2.axis = Child
-    && match s2.test with Name _ -> true | _ -> false)
-
-and eval_fused_descendant_child eng context_nodes step =
-  match (eng, step.test) with
-  | Src src, Name n ->
-    let any_virtual = List.exists is_virtual context_nodes in
-    (* a parent qualifies iff it is-or-descends-from some context *)
-    let parent_ok (p : row option) =
-      match p with
-      | None -> any_virtual (* the document element's parent is the virtual root *)
-      | Some p ->
-        any_virtual
-        || List.exists
-             (fun (c : row) -> p.pre = c.pre || (p.pre > c.pre && p.post < c.post))
-             context_nodes
-    in
-    let groups = Hashtbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (fun (r : row) ->
-        if r.kind <> Attribute then begin
-          let p = src.Axis_source.parent r in
-          let key = match p with Some p -> p.pre | None -> virtual_root.pre in
-          match Hashtbl.find_opt groups key with
-          | Some (ok, rs) -> Hashtbl.replace groups key (ok, r :: rs)
-          | None ->
-            order := key :: !order;
-            Hashtbl.replace groups key (parent_ok p, [ r ])
-        end)
-      (src.Axis_source.by_name n);
-    dedup_doc_order
-      (List.concat_map
-         (fun key ->
-           match Hashtbl.find groups key with
-           | true, rs -> apply_predicates eng step (List.rev rs)
-           | false, _ -> [])
-         (List.rev !order))
-  | _ -> assert false
-
-and eval_step eng context_nodes step =
-  match (eng, step.axis, step.test, step.predicates) with
-  | Src src, Descendant, Name n, [] ->
-    (* One name-index probe for the whole context set; the per-context
-       path below would re-materialise the occurrence list from the
-       persistent maps for each context. An occurrence qualifies if some
-       context properly contains it — checked by walking its ancestor
-       chain against a hash of the context ranks, O(depth) per
-       occurrence. Only sound without predicates: position() is
-       per-context. *)
-    let any_virtual = List.exists is_virtual context_nodes in
-    let ctx_pre = Hashtbl.create (List.length context_nodes) in
-    List.iter
-      (fun (c : row) -> if not (is_virtual c) then Hashtbl.replace ctx_pre c.pre ())
-      context_nodes;
-    let under_ctx (r : row) =
-      any_virtual
-      || let rec up node =
-           match src.Axis_source.parent node with
-           | None -> false
-           | Some p -> Hashtbl.mem ctx_pre p.pre || up p
-         in
-         up r
-    in
-    dedup_doc_order
-      (List.filter (fun (r : row) -> r.kind <> Attribute && under_ctx r) (src.by_name n))
-  | Src src, Child, Name n, _ when List.length context_nodes > 8 ->
-    (* child::name over a large context set (e.g. the uncollapsed
-       positional '//name[k]', whose first step yields every node):
-       probe the name index once and group the occurrences by parent
-       instead of calling children() per context. Each group is that
-       parent's name-matching children in document order, which is
-       exactly the per-context candidate list, so position()/last()
-       predicates keep their meaning. *)
-    let in_ctx = Hashtbl.create (List.length context_nodes) in
-    let virtual_ctx = ref false in
-    List.iter
-      (fun (c : row) ->
-        if is_virtual c then virtual_ctx := true else Hashtbl.replace in_ctx c.pre ())
-      context_nodes;
-    let groups = Hashtbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (fun (r : row) ->
-        if r.kind <> Attribute then
-          let key =
-            match src.Axis_source.parent r with
-            | Some p -> p.pre
-            | None -> virtual_root.pre
-          in
-          let wanted =
-            if key = virtual_root.pre then !virtual_ctx else Hashtbl.mem in_ctx key
-          in
-          if wanted then (
-            if not (Hashtbl.mem groups key) then order := key :: !order;
-            Hashtbl.replace groups key (r :: Option.value (Hashtbl.find_opt groups key) ~default:[])))
-      (src.Axis_source.by_name n);
-    dedup_doc_order
-      (List.concat_map
-         (fun key ->
-           apply_predicates eng step (List.rev (Hashtbl.find groups key)))
-         (List.rev !order))
-  | _ -> eval_step_general eng context_nodes step
-
-and eval_step_general eng context_nodes step =
-  let from_ctx ctx =
-    let candidates =
-      match eng with
-      | Src src -> (
-        match (step.axis, step.test) with
-        | Descendant, Name n -> by_name_descendants src ctx n
-        | _ ->
-          List.filter
-            (fun r ->
-              (not (r.kind = Attribute && not (axis_reaches_attributes step.axis)))
-              && test_pred step.test r)
-            (source_candidates src ctx step.axis))
-      | Scan all ->
-        List.filter (fun r -> axis_pred step.axis ctx r && test_pred step.test r) all
-    in
-    let ordered =
-      if reverse_axis step.axis then List.rev candidates else candidates
-    in
-    apply_predicates eng step ordered
-  in
-  dedup_doc_order (List.concat_map from_ctx context_nodes)
-
-(* Each predicate filters with position()/last() relative to the current
-   candidate list. *)
-and apply_predicates eng step ordered =
-  let apply_pred cands pred =
-    let last = List.length cands in
-    List.filteri
-      (fun i r ->
-        let v = eval_expr eng r ~position:(i + 1) ~last pred in
-        match v with
-        | Num f -> f = float_of_int (i + 1) (* [2] means position()=2 *)
-        | v -> to_bool v)
-      cands
-  in
-  List.fold_left apply_pred ordered step.predicates
-
-and eval_expr eng ctx ~position ~last = function
-  | Path p -> Nodes (eval_path eng ctx p)
+let rec eval_expr eng ctx ~position ~last = function
+  | Path p -> Nodes (eng.nodes ctx p)
   | Literal s -> Str s
   | Number f -> Num f
   | Compare (c, a, b) ->
@@ -772,12 +570,274 @@ and eval_expr eng ctx ~position ~last = function
   | Not e -> Bool (not (to_bool (eval_expr eng ctx ~position ~last e)))
   | Position -> Num (float_of_int position)
   | Last -> Num (float_of_int last)
-  | Count p -> Num (float_of_int (List.length (eval_path eng ctx p)))
+  | Count p -> Num (float_of_int (eng.count ctx p))
 
-let eval_from eng root p =
-  List.filter (fun r -> not (is_virtual r)) (dedup_doc_order (eval_path eng root p))
+(* Each predicate filters with position()/last() relative to the current
+   candidate list. *)
+let apply_predicates eng step ordered =
+  let apply_pred cands pred =
+    let last = List.length cands in
+    List.filteri
+      (fun i x ->
+        match eval_expr eng x ~position:(i + 1) ~last pred with
+        | Num f -> f = float_of_int (i + 1) (* [2] means position()=2 *)
+        | v -> to_bool v)
+      cands
+  in
+  List.fold_left apply_pred ordered step.predicates
 
-let eval_src_ast src (p : ast) = eval_from (Src src) (src.Axis_source.root ()) (collapse_path p)
+let rec scan_path all ctx p =
+  let eng = { nodes = scan_path all; count = (fun c p -> List.length (scan_path all c p)) } in
+  List.fold_left
+    (fun nodes step ->
+      dedup_doc_order
+        (List.concat_map
+           (fun ctx ->
+             let cands = List.filter (fun r -> axis_pred step.axis ctx r && test_pred step.test r) all in
+             apply_predicates eng step (if reverse_axis step.axis then List.rev cands else cands))
+           nodes))
+    (if p.absolute then [ virtual_root ] else [ ctx ])
+    p.steps
+
+(* ---- The source route -------------------------------------------- *)
+
+(* The virtual document node as a stream entry. It is in no index and
+   has no key: the axes special-case it. *)
+let virtual_node =
+  { Axis_source.n_post = virtual_root.post; n_kind = Element; n_level = virtual_root.level;
+    n_key = -1; n_parent = -1; n_name = virtual_root.name; n_value = None }
+
+let is_virtual_pre pre = pre = virtual_root.pre
+
+let drop_virtual (s : Rank_join.t) =
+  if Rank_join.length s > 0 && is_virtual_pre s.pre.(0) then
+    Rank_join.filter (fun pre _ -> not (is_virtual_pre pre)) s
+  else s
+
+let single e = Rank_join.of_list [ e ]
+
+let entries (s : Rank_join.t) = List.init (Rank_join.length s) (fun i -> (s.pre.(i), s.node.(i)))
+
+let rows_of src (s : Rank_join.t) =
+  let rows = Rank_join.rows src (drop_virtual s) in
+  if Rank_join.length s > 0 && is_virtual_pre s.pre.(0) then virtual_root :: rows else rows
+
+let node_test step (n : Axis_source.node) =
+  match step.test with Name x -> n.n_name = x | Any -> n != virtual_node | Node -> true
+
+(* A step's candidate test: XPath reaches attributes only through the
+   attribute and self axes. *)
+let admits step (n : Axis_source.node) =
+  (n.n_kind <> Attribute || axis_reaches_attributes step.axis) && node_test step n
+
+(* One context's candidates along an axis other than child and attribute,
+   in document order, from region scans and parent links. The virtual
+   document node is the parent of the document element and an ancestor of
+   everything. *)
+let axis_candidates (src : Axis_source.t) axis ((pre, (n : Axis_source.node)) as ctx) =
+  let collect from while_ keep =
+    let acc = ref [] in
+    src.scan from (fun p m ->
+        while_ p m
+        && begin
+          if keep m then acc := (p, m) :: !acc;
+          true
+        end);
+    List.rev !acc
+  in
+  let non_attribute (m : Axis_source.node) = m.n_kind <> Attribute in
+  let descendants () =
+    collect (pre + 1) (fun _ (m : Axis_source.node) -> m.n_post < n.n_post) non_attribute
+  in
+  let parent_of (p, (m : Axis_source.node)) =
+    if is_virtual_pre p then None
+    else if m.n_parent = -1 then Some (virtual_root.pre, virtual_node)
+    else
+      let q = src.rank_of_key m.n_parent in
+      Some (q, src.node q)
+  in
+  let rec ancestors acc e = match parent_of e with Some a -> ancestors (a :: acc) a | None -> acc in
+  let siblings keep =
+    let kids = if n.n_parent = -1 then [||] else src.children_of n.n_parent in
+    List.map (fun p -> (p, src.node p)) (List.filter keep (Array.to_list kids))
+  in
+  match axis with
+  | Child | Attribute -> invalid_arg "Xpath.axis_candidates: a child-list axis"
+  | Descendant -> descendants ()
+  | Descendant_or_self -> ctx :: descendants ()
+  | Self -> [ ctx ]
+  | Parent -> Option.to_list (parent_of ctx)
+  | Ancestor -> ancestors [] ctx
+  | Ancestor_or_self -> ancestors [ ctx ] ctx
+  | Following -> collect (pre + 1) (fun _ _ -> true) (fun m -> non_attribute m && m.n_post > n.n_post)
+  | Preceding -> collect min_int (fun p _ -> p < pre) (fun m -> non_attribute m && m.n_post < n.n_post)
+  | Following_sibling -> siblings (fun p -> p > pre)
+  | Preceding_sibling -> siblings (fun p -> p < pre)
+
+(* A step whose predicates never read position()/last() keeps or drops a
+   node whatever context reached it, so it can run over the union of its
+   contexts' candidates, testing each node once. *)
+let set_at_a_time step = not (List.exists positional_pred step.predicates)
+
+(* A relative path the kernel can test for non-emptiness: name-test
+   child/descendant steps (and self::node()) with set-at-a-time
+   predicates. *)
+let existential p =
+  (not p.absolute)
+  && List.for_all
+       (fun s ->
+         match (s.axis, s.test) with
+         | (Child | Descendant), Name _ -> set_at_a_time s
+         | Self, Node -> s.predicates = []
+         | _ -> false)
+       p.steps
+
+let sorted a =
+  Array.stable_sort Int.compare a;
+  a
+
+(* A child or attribute step over a context set. A name test on the child
+   axis is a kernel join against the name's elements, one lookup per
+   occurrence; reading each context's child list instead costs a lookup
+   per child. Timed on 20k-node Axis_inc snapshots (Docgen seeds 5-7,
+   every k-th section, list or group as contexts, section, field or item
+   as names; 27 cases per k), the child lists take 2.0-2.8x the join's
+   time at one occurrence per context, 1.0-1.35x at two, 0.6-0.9x at
+   three and 0.3-0.5x at six. So the join runs unless the name has more
+   than two occurrences per context, a test that reads at most that many
+   ranks of the name index. *)
+let child_step (src : Axis_source.t) (nodes : Rank_join.t) step =
+  match step.test with
+  | Name n when step.axis = Child && not (src.more_than n (2 * Rank_join.length nodes)) ->
+    Rank_join.children ~ctx:nodes (Rank_join.of_ranks src (src.ranks n))
+  | _ ->
+    let kids =
+      Array.concat
+        (List.map
+           (fun (pre, (n : Axis_source.node)) ->
+             if is_virtual_pre pre then [| fst (Axis_source.root src) |] else src.children_of n.n_key)
+           (entries nodes))
+    in
+    let kind = if step.axis = Attribute then Encoding.Attribute else Element in
+    Rank_join.of_ranks ~kind ~test:(node_test step) src (sorted kids)
+
+let descendant_step (src : Axis_source.t) nodes n =
+  Rank_join.descendants ~ctx:nodes (Rank_join.of_ranks src (src.ranks n))
+
+(* The sibling axes once per distinct parent: its child list is read once,
+   cut after the earliest context child (following-sibling) or before the
+   latest (preceding-sibling). *)
+let siblings (src : Axis_source.t) step nodes =
+  let following = step.axis = Following_sibling in
+  let bound = Hashtbl.create 16 in
+  List.iter
+    (fun (pre, (n : Axis_source.node)) ->
+      if n.n_parent <> -1 then begin
+        let b = Option.value (Hashtbl.find_opt bound n.n_parent) ~default:pre in
+        Hashtbl.replace bound n.n_parent (if following then min b pre else max b pre)
+      end)
+    (entries nodes);
+  let after b pre = if following then pre > b else pre < b in
+  let kept =
+    Hashtbl.fold
+      (fun p b acc -> List.filter (after b) (Array.to_list (src.children_of p)) @ acc)
+      bound []
+  in
+  Rank_join.of_ranks ~test:(node_test step) src (sorted (Array.of_list kept))
+
+let rec src_path src ctx p =
+  let rec go nodes = function
+    | [] -> nodes
+    | _ when Rank_join.is_empty nodes -> nodes
+    | { axis = Descendant_or_self; test = Node; predicates = [] }
+      :: ({ axis = Child; test = Name n; _ } as s)
+      :: rest ->
+      (* '//name[k]' (collapse leaves positional steps alone): a child of a
+         descendant-or-self node is a proper descendant, numbered among its
+         parent's children. *)
+      go (per_parent src s (descendant_step src nodes n)) rest
+    | s :: rest -> go (src_step src nodes s) rest
+  in
+  go (if p.absolute then single (virtual_root.pre, virtual_node) else ctx) p.steps
+
+and src_engine src =
+  {
+    nodes = (fun ctx p -> rows_of src (src_path src (single ctx) p));
+    count = (fun ctx p -> Rank_join.length (src_path src (single ctx) p));
+  }
+
+and src_step src nodes step =
+  match (step.axis, step.test) with
+  | (Child | Attribute), _ when not (set_at_a_time step) ->
+    per_parent src step (child_step src nodes step)
+  | _ when not (set_at_a_time step) ->
+    Rank_join.of_list
+      (List.concat_map
+         (fun ctx ->
+           let cands = List.filter (fun (_, m) -> admits step m) (axis_candidates src step.axis ctx) in
+           let ordered = if reverse_axis step.axis then List.rev cands else cands in
+           apply_predicates (src_engine src) step ordered)
+         (entries nodes))
+  | (Child | Attribute), _ -> filter_preds src (child_step src nodes step) step.predicates
+  | Descendant, Name n -> filter_preds src (descendant_step src nodes n) step.predicates
+  | (Following_sibling | Preceding_sibling), _ ->
+    filter_preds src (siblings src step nodes) step.predicates
+  | _ ->
+    let cands = List.concat_map (axis_candidates src step.axis) (entries nodes) in
+    let cands = List.filter (fun (_, m) -> admits step m) cands in
+    filter_preds src (Rank_join.of_list cands) step.predicates
+
+(* Positional predicates over child or attribute candidates, numbered per
+   parent. *)
+and per_parent src step s =
+  let groups = Hashtbl.create 64 in
+  List.iter
+    (fun ((_, (n : Axis_source.node)) as e) ->
+      let g = Option.value (Hashtbl.find_opt groups n.n_parent) ~default:[] in
+      Hashtbl.replace groups n.n_parent (e :: g))
+    (List.rev (entries s));
+  Rank_join.of_list
+    (Hashtbl.fold (fun _ g acc -> apply_predicates (src_engine src) step g @ acc) groups [])
+
+and filter_preds src s preds = List.fold_left (filter_pred src) s preds
+
+(* One set-at-a-time predicate over a stream: existential paths, and
+   count(p) compared with zero, become semijoins; the boolean connectives
+   become set operations; anything else is evaluated per node. *)
+and filter_pred src s e =
+  match e with
+  | _ when Rank_join.is_empty s -> s
+  | Path p when existential p -> exists src s p.steps
+  | Compare (c, Count p, Number f)
+    when existential p && (((c = Gt || c = Neq) && f = 0.) || (c = Ge && f = 1.)) ->
+    exists src s p.steps
+  | And (a, b) -> filter_pred src (filter_pred src s a) b
+  | Or (a, b) -> Rank_join.of_list (entries (filter_pred src s a) @ entries (filter_pred src s b))
+  | Not e ->
+    let drop = Hashtbl.create 16 in
+    Array.iter (fun pre -> Hashtbl.replace drop pre ()) (filter_pred src s e).pre;
+    Rank_join.filter (fun pre _ -> not (Hashtbl.mem drop pre)) s
+  | e ->
+    let eng = src_engine src in
+    Rank_join.filter (fun pre n -> to_bool (eval_expr eng (pre, n) ~position:1 ~last:1 e)) s
+
+(* The entries of [s] from which [steps] reach some node: each step runs
+   over [s] as an ordinary step would, so a small [s] reads child lists
+   rather than every occurrence of the name; its answer is narrowed by
+   its predicates and the rest of the path, then joined back onto [s]. *)
+and exists src s = function
+  | [] -> s
+  | { axis = Self; _ } :: rest -> exists src s rest
+  | ({ axis; test = Name n; predicates } as step) :: rest ->
+    let cands = if axis = Child then child_step src s step else descendant_step src s n in
+    let reached = exists src (filter_preds src cands predicates) rest in
+    if axis = Child then Rank_join.having_child s reached else Rank_join.having_descendant s reached
+  | _ -> invalid_arg "Xpath.exists: not an existential path"
+
+let select_src src (p : ast) =
+  drop_virtual (src_path src (single (Axis_source.root src)) (collapse_path p))
+
+let eval_src_ast src p = Rank_join.rows src (select_src src p)
 
 let eval_src src q = eval_src_ast src (parse q)
 
@@ -790,7 +850,7 @@ let eval_src src q = eval_src_ast src (parse q)
 let eval_scan_rows all_rows (p : ast) =
   match all_rows with
   | [] -> []
-  | root :: _ -> eval_from (Scan (virtual_root :: all_rows)) root p
+  | root :: _ -> List.filter (fun r -> not (is_virtual r)) (scan_path (virtual_root :: all_rows) root p)
 
 let eval_ast enc (p : ast) =
   eval_src_ast (Axis_source.of_index (Axis_index.build enc)) p
@@ -802,9 +862,3 @@ let eval_scan_ast enc (p : ast) = eval_scan_rows (rows enc) p
 let eval_scan enc src = eval_scan_ast enc (parse src)
 
 let collapse = collapse_path
-
-(* Re-evaluation against a prebuilt index, for callers issuing many
-   queries over one encoding. *)
-let eval_indexed enc idx src =
-  ignore enc;
-  eval_src_ast (Axis_source.of_index idx) (parse src)

@@ -57,10 +57,6 @@ val eval_scan_rows : Encoding.row list -> ast -> Encoding.row list
     without densification; the server's [--paranoid] mode re-runs every
     served answer through this. *)
 
-val eval_indexed : Encoding.t -> Axis_index.t -> string -> Encoding.row list
-(** Evaluate against a prebuilt index — for callers issuing many queries
-    over the same encoding. *)
-
 val eval_src : Axis_source.t -> string -> Encoding.row list
 (** Evaluate against an axis source (e.g. an {!Axis_inc} snapshot) with the
     source's root as context node. Non-positional ['//'] steps are collapsed
@@ -68,3 +64,8 @@ val eval_src : Axis_source.t -> string -> Encoding.row list
     O(subtree). Raises {!Parse_error}. *)
 
 val eval_src_ast : Axis_source.t -> ast -> Encoding.row list
+
+val select_src : Axis_source.t -> ast -> Rank_join.t
+(** {!eval_src_ast}'s answer as a stream, in document order, without
+    building its rows: a caller that sends part of the answer builds rows
+    for that part ({!Rank_join.rows}). *)

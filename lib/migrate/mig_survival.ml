@@ -16,11 +16,13 @@ let parse_twig s = Q_twig (s, Twig.parse s)
 
 type answer = (Encoding.kind * string * string option) list
 
-let answer src = function
-  | Q_xpath (_, ast) ->
-    List.map (fun r -> (r.Encoding.kind, r.Encoding.name, r.Encoding.value)) (Xpath.eval_src_ast src ast)
-  | Q_twig (_, t) ->
-    List.map (fun r -> (r.Encoding.kind, r.Encoding.name, r.Encoding.value)) (Twig.matches_src src t)
+(* Read straight from the answer stream: no row (and no parent link) is
+   built for a node the comparison never looks at. *)
+let answer src q =
+  let s =
+    match q with Q_xpath (_, ast) -> Xpath.select_src src ast | Q_twig (_, t) -> Twig.select_src src t
+  in
+  Array.to_list (Array.map (fun n -> (n.Axis_source.n_kind, n.n_name, n.n_value)) s.Rank_join.node)
 
 let classify ~before ~after =
   if before = after then Survived else if before <> [] && after = [] then Broken else Changed

@@ -2,7 +2,7 @@
 
     A seeded pool of XPath and twig queries is evaluated before and after
     every migration step through the same engines the server's query path
-    uses ({!Repro_encoding.Xpath.eval_src} / {!Repro_encoding.Twig.matches_src}
+    uses ({!Repro_encoding.Xpath.select_src} / {!Repro_encoding.Twig.select_src}
     over an {!Repro_encoding.Axis_inc} snapshot). Answers are compared as
     ordered (kind, name, value) sequences — pre/post ranks and levels
     shift under every structural rewrite by design and carry no signal.
@@ -24,7 +24,8 @@ val parse_xpath : string -> query
 (** Raises {!Repro_encoding.Xpath.Parse_error}. *)
 
 val parse_twig : string -> query
-(** Raises {!Repro_encoding.Twig.Parse_error}. *)
+(** Raises {!Repro_encoding.Twig.Parse_error}, which carries the offset
+    of the fault in the pattern text. *)
 
 type answer = (Repro_encoding.Encoding.kind * string * string option) list
 

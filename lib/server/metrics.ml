@@ -13,6 +13,8 @@ type t = { mu : Mutex.t; cells : (string, cell) Hashtbl.t }
 
 let create () = { mu = Mutex.create (); cells = Hashtbl.create 64 }
 
+let monotonic_ns () = Monotonic_clock.now ()
+
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f

@@ -6,6 +6,10 @@ type t
 
 val create : unit -> t
 
+val monotonic_ns : unit -> int64
+(** Nanoseconds on bechamel's monotonic clock: for measuring durations,
+    never comparable with a wall-clock ([Unix.gettimeofday]) stamp. *)
+
 val record : t -> key:string -> ok:bool -> ns:int -> unit
 (** Count one request under [key] ("req/<class>" or
     "doc/<name>/<class>") with its latency. *)

@@ -10,6 +10,7 @@ module P = Protocol
 module Axis_inc = Repro_encoding.Axis_inc
 module Xpath = Repro_encoding.Xpath
 module Twig = Repro_encoding.Twig
+module Rank_join = Repro_encoding.Rank_join
 
 type query = Q_xpath of string | Q_twig of string
 
@@ -30,58 +31,53 @@ let qrow_of (r : Repro_encoding.Encoding.row) =
     qr_value = r.Repro_encoding.Encoding.value;
   }
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-let reply ~limit ~rev rows =
+(* The answer is counted from its stream; rows are built only for the
+   entries the reply carries. *)
+let reply snap ~limit answer =
   let limit = max 0 (min limit max_rows) in
   P.Query_r
     {
-      qy_total = List.length rows;
-      qy_rev = rev;
-      qy_rows = List.map qrow_of (take limit rows);
+      qy_total = Rank_join.length answer;
+      qy_rev = Axis_inc.rev snap;
+      qy_rows = List.map qrow_of (Rank_join.rows ~limit (Axis_inc.source snap) answer);
     }
+
+(* Under [paranoid], the served answer in full against the scan route
+   over the same snapshot rows. *)
+let cross_check snap what src answer scan =
+  let rows = Rank_join.rows (Axis_inc.source snap) answer in
+  if rows <> scan then
+    raise
+      (Divergence
+         (Printf.sprintf "%s %S at revision %d: served %d rows, scan %d" what src (Axis_inc.rev snap)
+            (List.length rows) (List.length scan)))
 
 let eval_xpath ~paranoid snap src ~limit =
   match Xpath.parse src with
   | exception Xpath.Parse_error { Xpath.position; message } ->
     P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }
   | ast ->
-    let rows = Xpath.eval_src_ast (Axis_inc.source snap) ast in
-    if paranoid then begin
-      let scan = Xpath.eval_scan_rows (Axis_inc.rows snap) ast in
-      if rows <> scan then
-        raise
-          (Divergence
-             (Printf.sprintf "xpath %S at revision %d: served %d rows, scan %d" src
-                (Axis_inc.rev snap) (List.length rows) (List.length scan)))
-    end;
-    reply ~limit ~rev:(Axis_inc.rev snap) rows
+    let answer = Xpath.select_src (Axis_inc.source snap) ast in
+    if paranoid then
+      cross_check snap "xpath" src answer (Xpath.eval_scan_rows (Axis_inc.rows snap) ast);
+    reply snap ~limit answer
 
 let eval_twig ~paranoid snap src ~limit =
   match Twig.parse src with
-  | exception Twig.Parse_error msg ->
-    P.Query_error { qe_parse = true; qe_pos = 0; qe_msg = msg }
+  | exception Twig.Parse_error { Twig.position; message } ->
+    P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }
   | t ->
-    let rows = Twig.matches_src (Axis_inc.source snap) t in
-    (if paranoid then
-       (* an independent route: the pattern's navigational XPath
-          equivalent, scan-evaluated over the same snapshot rows *)
-       let scan =
-         Xpath.eval_scan_rows (Axis_inc.rows snap)
-           (Xpath.parse (Twig.matches_xpath_equivalent t))
-       in
-       if rows <> scan then
-         raise
-           (Divergence
-              (Printf.sprintf "twig %S at revision %d: served %d rows, scan %d" src
-                 (Axis_inc.rev snap) (List.length rows) (List.length scan))));
-    reply ~limit ~rev:(Axis_inc.rev snap) rows
+    let answer = Twig.select_src (Axis_inc.source snap) t in
+    (* an independent route: the pattern's navigational XPath
+       equivalent, scan-evaluated over the same snapshot rows *)
+    if paranoid then
+      cross_check snap "twig" src answer
+        (Xpath.eval_scan_rows (Axis_inc.rows snap) (Xpath.parse (Twig.matches_xpath_equivalent t)));
+    reply snap ~limit answer
 
 let serve metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap query ~limit =
-  let t0 = Unix.gettimeofday () in
+  let wall0 = Unix.gettimeofday () in
+  let t0 = Metrics.monotonic_ns () in
   let resp =
     try
       match query with
@@ -91,18 +87,18 @@ let serve metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap query ~limit =
       Metrics.record metrics ~key:"query/paranoid" ~ok:false ~ns:0;
       P.Err (P.Internal, "paranoid divergence: " ^ msg)
   in
-  let dt = Unix.gettimeofday () -. t0 in
-  let ns = if dt <= 0. then 0 else int_of_float (dt *. 1e9) in
+  let ns = Int64.to_int (Int64.sub (Metrics.monotonic_ns ()) t0) in
   let ok = match resp with P.Query_r _ -> true | _ -> false in
   Metrics.record metrics ~key:"query/eval" ~ok ~ns;
   (match resp with
   | P.Query_r _ when paranoid -> Metrics.record metrics ~key:"query/paranoid" ~ok:true ~ns:0
   | _ -> ());
   (* staleness of the pair we served: document revisions not yet
-     published, and the snapshot's age on the wall clock *)
+     published, and the snapshot's age — on the wall clock, because the
+     publisher stamps [pub_time] with it *)
   Metrics.gauge metrics ~key:"query/rev_lag" ~value:(max 0 (doc_rev - Axis_inc.rev snap));
   Metrics.gauge metrics ~key:"query/pub_age_us"
-    ~value:(int_of_float (max 0. ((t0 -. pub_time) *. 1e6)));
+    ~value:(int_of_float (max 0. ((wall0 -. pub_time) *. 1e6)));
   let st = Axis_inc.stats inc in
   Metrics.gauge metrics ~key:"query/maint_ops" ~value:st.Axis_inc.ops;
   if st.Axis_inc.ops > 0 then

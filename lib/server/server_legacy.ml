@@ -175,8 +175,6 @@ let encoded_label (view : Core.Session.t) n =
   let l_bytes, l_bits = view.Core.Session.label_encoded n in
   { P.l_bytes; l_bits }
 
-let monotonic_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 let publish_of (view : Core.Session.t) pack durable inc =
   let st = view.Core.Session.stats () in
   let j = Durable_session.journal durable in
@@ -770,7 +768,7 @@ let spawn_actor t name ~durable ~role ~ship ~rebuild =
     | None ->
       reject P.Internal "journal scheme %S is not registered" view.Core.Session.scheme_name
   in
-  let inc = Axis_inc.create ~clock:monotonic_ns view.Core.Session.doc in
+  let inc = Axis_inc.create ~clock:Metrics.monotonic_ns view.Core.Session.doc in
   let a =
     {
       a_doc = name;

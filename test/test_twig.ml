@@ -40,12 +40,15 @@ let parse_and_print () =
   | { Twig.name = "a"; branches = [ (Twig.Child, { name = "b"; branches = [ (Twig.Child, { name = "c"; _ }) ] }) ] } ->
     ()
   | _ -> Alcotest.fail "unexpected parse of a[b/c]");
+  (* each bad input is refused at the offset of its fault, counted in the
+     text as given *)
   List.iter
-    (fun bad ->
+    (fun (bad, at) ->
       match Twig.parse bad with
-      | exception Twig.Parse_error _ -> ()
+      | exception Twig.Parse_error { Twig.position; _ } ->
+        check Alcotest.int (Printf.sprintf "error offset in %S" bad) at position
       | _ -> Alcotest.failf "expected a parse error for %s" bad)
-    [ ""; "a["; "a[]"; "a]"; "a[b]c"; "[a]" ]
+    [ ("", 0); ("a[", 2); ("a[]", 2); ("a]", 1); ("a[b]c", 4); ("[a]", 0); ("  a[b", 5); ("a[b] x", 5) ]
 
 (* The join-based matcher equals the navigational XPath evaluation. *)
 let twig_equals_xpath =
