@@ -86,14 +86,16 @@ query-smoke: build
 	  --nodes 2500 --query-pct 95 --schemes QED,ORDPATH
 
 # Schema-migration smoke: the offline per-scheme storm (every operator
-# kind, oracle-replay verified on a byte-identical twin — any
-# disagreement exits non-zero), then migration batches over the wire: a
-# self-served load with every 25th step a wrap migration, proving the
-# migrate/* gauges move and the batch path serves cleanly under load.
+# kind, oracle-replay verified on a byte-identical twin, every kept
+# standing-query answer re-checked by a full re-evaluation — any
+# disagreement or mismatch exits non-zero), then migration batches over
+# the wire: a paranoid self-served load with every 25th step a wrap
+# migration, proving the migrate/* gauges move, the batch path serves
+# cleanly under load, and survival keeps no stale answer.
 migrate-smoke: build
 	rm -rf _build/migrate-smoke
 	dune exec bin/xmlrepro.exe -- migrate --steps 24 --nodes 120
-	dune exec bin/xmlrepro.exe -- loadgen --self-serve \
+	dune exec bin/xmlrepro.exe -- loadgen --self-serve --paranoid \
 	  --root _build/migrate-smoke --clients 4 --ops 2000 --seed 4 \
 	  --nodes 60 --migrate-every 25 --schemes QED,ORDPATH
 

@@ -1180,6 +1180,9 @@ let run_migrate () =
   if disagreements > 0 then
     Printf.printf "ORACLE DISAGREEMENTS: %d (compiled plans diverged from replay)\n"
       disagreements;
+  let mismatches = M.total_mismatches rows in
+  if mismatches > 0 then
+    Printf.printf "SURVIVAL MISMATCHES: %d (kept answers differ from re-evaluation)\n" mismatches;
   write_json "BENCH_migrate.json" (M.to_json cfg rows)
 
 let run_micro () =

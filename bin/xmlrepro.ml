@@ -757,7 +757,9 @@ let serve_cmd =
           ~doc:
             "Re-derive every served XPath/twig answer through the scan reference \
              evaluator over the same published snapshot; a divergence is answered \
-             as an Internal error instead of served.")
+             as an Internal error instead of served. Also re-evaluate every \
+             standing-query answer migration survival kept, counting \
+             contradictions in the migrate/survival_mismatch gauge.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -853,7 +855,14 @@ let loadgen_cmd =
       Out_channel.with_open_text path (fun oc ->
           output_string oc (Repro_server.Loadgen.to_json report))
     | None -> ());
-    if report.Repro_server.Loadgen.r_errors > 0 then exit 1
+    let mismatches =
+      Option.value ~default:0
+        (List.assoc_opt "migrate/survival_mismatch" report.Repro_server.Loadgen.r_server)
+    in
+    if mismatches > 0 then
+      Format.eprintf "loadgen: %d standing-query answer(s) kept stale by migration survival@."
+        mismatches;
+    if report.Repro_server.Loadgen.r_errors > 0 || mismatches > 0 then exit 1
   in
   let clients =
     Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client threads.")
@@ -994,7 +1003,9 @@ let loadgen_cmd =
           ~doc:
             "For --self-serve: the server re-verifies every served query answer \
              against the scan evaluator over the same snapshot rows, failing the \
-             request on any divergence.")
+             request on any divergence, and every standing-query answer migration \
+             survival kept against a full re-evaluation. A nonzero \
+             migrate/survival_mismatch gauge fails the run.")
   in
   Cmd.v
     (Cmd.info "loadgen"
@@ -1451,7 +1462,10 @@ let migrate_cmd =
       Out_channel.with_open_text path (fun oc ->
           output_string oc (Repro_migrate.Mig_run.to_json cfg rows))
     | None -> ());
-    if Repro_migrate.Mig_run.total_disagreements rows > 0 then exit 1
+    if
+      Repro_migrate.Mig_run.total_disagreements rows > 0
+      || Repro_migrate.Mig_run.total_mismatches rows > 0
+    then exit 1
   in
   let schemes =
     Arg.(
@@ -1492,7 +1506,9 @@ let migrate_cmd =
          "Run a seeded schema-migration storm (wrap, unwrap, hoist, split, merge, \
           bulk rename) per labelling scheme, account the blast radius of each \
           operator kind, and verify every compiled plan against an oracle replay \
-          on a byte-identical twin. Exits nonzero on any oracle disagreement.")
+          on a byte-identical twin and every standing-query answer the survival \
+          tracker kept against a full re-evaluation. Exits nonzero on any oracle \
+          disagreement or survival mismatch.")
     Term.(const run $ schemes $ nodes $ steps $ queries $ seed_arg $ json)
 
 (* ---- schemes ----------------------------------------------------- *)

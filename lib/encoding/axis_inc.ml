@@ -28,15 +28,31 @@ type cell = Axis_source.node = {
   n_value : string option;
 }
 
+(* One name's live nodes, and its change stamp: the Tree.revision at
+   which a node carrying the name was last inserted, deleted, renamed to
+   or from it, or given a new value. The stamp rides in the name index
+   entry that every such mutation updates anyway, so it costs no extra
+   map walk. *)
+type entry = { ranks : Iset.t; changed : int }
+
+(* The stamps of names whose last node went. A name in neither this nor
+   the name index last changed at [floor]. Once [buried] holds more
+   names than the index held live ones at the last fold, it is folded
+   into [floor], so the stamps stay within a constant factor of the live
+   names however many names come and go. *)
+type gone = { buried : int Smap.t; count : int; limit : int; floor : int }
+
 (* All maps are persistent, so a snapshot is the record itself: O(1) to
    take, immutable to read, safely shared across domains. *)
 type snap = {
   plane : cell Imap.t;  (* sparse pre rank -> cell, document order *)
   pre_of : int Imap.t;  (* node id -> pre rank *)
   post_of : int Imap.t;  (* post rank -> pre rank *)
-  names : Iset.t Smap.t;  (* name -> pre ranks *)
+  names : entry Smap.t;  (* name -> its nodes' pre ranks and stamp *)
   kids : Iset.t Imap.t;  (* parent node id -> child pre ranks *)
   s_rev : int;  (* Tree.revision this snapshot reflects *)
+  gone : gone;
+  history : int;  (* this index's change history, for Axis_source *)
 }
 
 type stats = { ops : int; renumbered : int; ns : int64 }
@@ -53,6 +69,12 @@ type t = {
 
 let rev s = s.s_rev
 let size s = Imap.cardinal s.plane
+let stamped s = Smap.cardinal s.names + s.gone.count
+
+let changed_at s name =
+  match Smap.find_opt name s.names with
+  | Some e -> e.changed
+  | None -> ( match Smap.find_opt name s.gone.buried with Some r -> r | None -> s.gone.floor)
 
 let stats t = { ops = t.m_ops; renumbered = t.m_renumbered; ns = t.m_ns }
 
@@ -72,36 +94,77 @@ let iset_remove k pre m =
         if Iset.is_empty s then None else Some s)
     m
 
-let names_add name pre m =
-  Smap.update name (fun s -> Some (Iset.add pre (Option.value s ~default:Iset.empty))) m
-
-let names_remove name pre m =
+(* [at] stamps the name. Renumbering changes no name and passes none:
+   the stamp is kept, and an entry left without ranks stays until the
+   renumbered rank comes back (so a new entry without [at] cannot occur;
+   it would read as changed after everything). A real removal that
+   takes a name's last node drops its entry and says so. *)
+let names_add ?at name pre m =
   Smap.update name
     (function
-      | None -> None
-      | Some s ->
-        let s = Iset.remove pre s in
-        if Iset.is_empty s then None else Some s)
+      | Some e ->
+        Some { ranks = Iset.add pre e.ranks; changed = Option.value at ~default:e.changed }
+      | None -> Some { ranks = Iset.singleton pre; changed = Option.value at ~default:max_int })
     m
 
-let add_cell snap (pre, c) =
+let names_remove ?at name pre m =
+  let died = ref false in
+  let m =
+    Smap.update name
+      (function
+        | None -> None
+        | Some e -> (
+          let ranks = Iset.remove pre e.ranks in
+          match at with
+          | Some _ when Iset.is_empty ranks ->
+            died := true;
+            None
+          | _ -> Some { ranks; changed = Option.value at ~default:e.changed }))
+      m
+  in
+  (m, !died)
+
+let names_touch at name m = Smap.update name (Option.map (fun e -> { e with changed = at })) m
+
+let min_limit = 64
+
+(* Keep the stamp of a name whose last node went at [at]. A fold sets
+   [floor] to [at], at least every buried stamp, so a folded name reads
+   as changed no earlier than it did. *)
+let bury at names g name =
+  let fresh = ref true in
+  let buried =
+    Smap.update name
+      (fun old ->
+        fresh := old = None;
+        Some at)
+      g.buried
+  in
+  let count = if !fresh then g.count + 1 else g.count in
+  if count <= g.limit then { g with buried; count }
+  else
+    { buried = Smap.empty; count = 0; limit = max min_limit (Smap.cardinal names); floor = at }
+
+let add_cell ?at snap (pre, c) =
   {
     snap with
     plane = Imap.add pre c snap.plane;
     pre_of = Imap.add c.n_key pre snap.pre_of;
     post_of = Imap.add c.n_post pre snap.post_of;
-    names = names_add c.n_name pre snap.names;
+    names = names_add ?at c.n_name pre snap.names;
     kids = (if c.n_parent < 0 then snap.kids else iset_add c.n_parent pre snap.kids);
   }
 
-let remove_cell snap (pre, c) =
+let remove_cell at snap (pre, c) =
+  let names, died = names_remove ~at c.n_name pre snap.names in
   {
     snap with
     plane = Imap.remove pre snap.plane;
     pre_of = Imap.remove c.n_key snap.pre_of;
     post_of = Imap.remove c.n_post snap.post_of;
-    names = names_remove c.n_name pre snap.names;
+    names;
     kids = (if c.n_parent < 0 then snap.kids else iset_remove c.n_parent pre snap.kids);
+    gone = (if died then bury at names snap.gone c.n_name else snap.gone);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -198,7 +261,7 @@ let apply_pre_remaps snap remaps =
           {
             s with
             plane = Imap.remove o s.plane;
-            names = names_remove c.n_name o s.names;
+            names = fst (names_remove c.n_name o s.names);
             kids = (if c.n_parent < 0 then s.kids else iset_remove c.n_parent o s.kids);
           })
         snap items
@@ -238,6 +301,8 @@ let apply_post_remaps snap remaps =
 (* Initial build                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let next_history = Atomic.make 0
+
 let build_snap doc =
   let pre_ctr = ref 0 and post_ctr = ref 0 in
   let cells = ref [] in
@@ -260,7 +325,7 @@ let build_snap doc =
       :: !cells
   in
   go 0 (-1) (Tree.root doc);
-  List.fold_left add_cell
+  List.fold_left (add_cell ~at:(Tree.revision doc))
     {
       plane = Imap.empty;
       pre_of = Imap.empty;
@@ -268,6 +333,8 @@ let build_snap doc =
       names = Smap.empty;
       kids = Imap.empty;
       s_rev = Tree.revision doc;
+      gone = { buried = Smap.empty; count = 0; limit = min_limit; floor = Tree.revision doc };
+      history = Atomic.fetch_and_add next_history 1;
     }
     !cells
 
@@ -323,10 +390,11 @@ let on_insert t n =
     List.iter (lv (l + 1)) (Tree.children x)
   in
   lv (parent_level + 1) n;
+  let at = Tree.revision t.doc in
   let snap =
     List.fold_left2
       (fun s node pre ->
-        add_cell s
+        add_cell ~at s
           ( pre,
             {
               n_key = node.Tree.id;
@@ -340,40 +408,47 @@ let on_insert t n =
       snap sub pres
   in
   t.m_renumbered <- t.m_renumbered + List.length pre_remaps + List.length post_remaps;
-  t.snap <- { snap with s_rev = Tree.revision t.doc }
+  t.snap <- { snap with s_rev = at }
 
 let on_delete t n =
+  let at = Tree.revision t.doc in
   let snap =
     List.fold_left
       (fun s node ->
         let pre = Imap.find node.Tree.id s.pre_of in
-        remove_cell s (pre, Imap.find pre s.plane))
+        remove_cell at s (pre, Imap.find pre s.plane))
       t.snap
       (n :: Tree.descendants n)
   in
-  t.snap <- { snap with s_rev = Tree.revision t.doc }
+  t.snap <- { snap with s_rev = at }
 
 let on_rename t n old =
   let snap = t.snap in
   let pre = Imap.find n.Tree.id snap.pre_of in
   let c = Imap.find pre snap.plane in
+  let at = Tree.revision t.doc in
+  let names, died = names_remove ~at old pre snap.names in
+  let names = names_add ~at n.Tree.name pre names in
   t.snap <-
     {
       snap with
       plane = Imap.add pre { c with n_name = n.Tree.name } snap.plane;
-      names = names_add n.Tree.name pre (names_remove old pre snap.names);
-      s_rev = Tree.revision t.doc;
+      names;
+      gone = (if died then bury at names snap.gone old else snap.gone);
+      s_rev = at;
     }
 
 let on_value t n =
   let snap = t.snap in
   let pre = Imap.find n.Tree.id snap.pre_of in
   let c = Imap.find pre snap.plane in
+  let at = Tree.revision t.doc in
   t.snap <-
     {
       snap with
       plane = Imap.add pre { c with n_value = n.Tree.value } snap.plane;
-      s_rev = Tree.revision t.doc;
+      names = names_touch at n.Tree.name snap.names;
+      s_rev = at;
     }
 
 let create ?(clock = fun () -> 0L) doc =
@@ -415,16 +490,18 @@ let to_array set =
 
 (* Every entry is one map lookup; a cell is handed out as it is stored. *)
 let source snap : Axis_source.t =
-  let set_of m k find = match find k m with Some set -> to_array set | None -> [||] in
   {
-    ranks = (fun name -> set_of snap.names name Smap.find_opt);
+    ranks =
+      (fun name ->
+        match Smap.find_opt name snap.names with Some e -> to_array e.ranks | None -> [||]);
     more_than =
       (fun name k ->
         match Smap.find_opt name snap.names with
-        | Some set -> not (Seq.is_empty (Seq.drop k (Iset.to_seq set)))
+        | Some e -> not (Seq.is_empty (Seq.drop k (Iset.to_seq e.ranks)))
         | None -> false);
     node = (fun pre -> Imap.find pre snap.plane);
-    children_of = (fun id -> set_of snap.kids id Imap.find_opt);
+    children_of =
+      (fun id -> match Imap.find_opt id snap.kids with Some set -> to_array set | None -> [||]);
     rank_of_key = (fun id -> Imap.find id snap.pre_of);
     scan =
       (fun from f ->
@@ -432,6 +509,9 @@ let source snap : Axis_source.t =
           match seq () with Seq.Cons ((pre, c), rest) -> if f pre c then go rest | Seq.Nil -> ()
         in
         go (Imap.to_seq_from from snap.plane));
+    history = snap.history;
+    revision = snap.s_rev;
+    changed_at = changed_at snap;
   }
 
 let rows snap = Rank_join.rows (source snap) (Rank_join.of_list (Imap.bindings snap.plane))
@@ -479,7 +559,7 @@ let verify t =
       | Some p when p = pre -> ()
       | _ -> fail "post_of out of sync");
       (match Smap.find_opt c.n_name snap.names with
-      | Some set when Iset.mem pre set -> ()
+      | Some e when Iset.mem pre e.ranks -> ()
       | _ -> fail "name index out of sync");
       if c.n_parent >= 0 then
         match Imap.find_opt c.n_parent snap.kids with
@@ -487,6 +567,8 @@ let verify t =
         | _ -> fail "child index out of sync"
     in
     List.iteri (fun i (d, s) -> check i d s) (List.combine dense sparse);
+    if !problem = None && Smap.exists (fun _ e -> Iset.is_empty e.ranks) snap.names then
+      problem := Some "a name index entry with no nodes";
     (match !problem with
     | Some _ -> ()
     | None ->

@@ -43,13 +43,29 @@ val rev : snap -> int
 
 val size : snap -> int
 
+val changed_at : snap -> string -> int
+(** The revision at which a node named [name] was last inserted,
+    deleted, renamed to or from [name], or given a new value (a subtree
+    insert or delete changes every name in it); window renumbering
+    changes nothing. A live name's stamp rides in its name index entry;
+    a name whose last node went keeps the revision it went at until
+    such records outnumber the live names, when they fold into one
+    floor revision, never earlier than any folded stamp. *)
+
+val stamped : snap -> int
+(** Names that carry a stamp of their own, live or gone: bounded by a
+    constant factor of the live distinct names (plus a small constant),
+    however many names come and go. *)
+
 val rows : snap -> Encoding.row list
 (** Every row in document order, with sparse ranks — the input
     {!Xpath.eval_scan_rows} checks served answers against. *)
 
 val source : snap -> Axis_source.t
 (** The snapshot as an axis source for {!Xpath.eval_src} and
-    {!Twig.matches_src}. Axes cost O(log n + answer). *)
+    {!Twig.matches_src}. Axes cost O(log n + answer). Its [history] is
+    this index's own, shared by every snapshot of it; [changed_at] is
+    {!changed_at}. *)
 
 val verify : t -> (unit, string) result
 (** Diffs the live index against a fresh {!Encoding.of_doc} rebuild:

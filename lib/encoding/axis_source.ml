@@ -17,10 +17,14 @@ type t = {
   children_of : int -> int array;
   rank_of_key : int -> int;
   scan : int -> (int -> node -> bool) -> unit;
+  history : int;
+  revision : int;
+  changed_at : string -> int;
 }
 
 (* The dense index keys nodes by their pre rank, which is also their
-   position in its row array. *)
+   position in its row array. It is rebuilt per revision and keeps no
+   change history, so every name reads as changed after any answer. *)
 let of_index idx =
   let node pre =
     let r = Axis_index.row idx pre in
@@ -37,6 +41,9 @@ let of_index idx =
       (fun from f ->
         let rec go pre = pre < Axis_index.size idx && f pre (node pre) && go (pre + 1) in
         ignore (go (max 0 from)));
+    history = -1;
+    revision = 0;
+    changed_at = (fun _ -> max_int);
   }
 
 let root src =

@@ -17,7 +17,15 @@
       key [node] reports, and [rank_of_key] turns a key back into a pre
       rank — the one extra lookup a full row costs;
     - [scan pre f] visits the nodes from rank [pre] on in document order
-      while [f] returns [true]: the region scans of the remaining axes.
+      while [f] returns [true]: the region scans of the remaining axes;
+    - [revision] is the {!Repro_xml.Tree.revision} the source reflects,
+      and [changed_at name] the revision at which a node named [name]
+      (element or attribute) was last inserted, deleted, renamed to or
+      from [name], or given a new value. Rank renumbering changes no
+      name. Both count in the change history
+      [history] names: answers computed from two sources of one history
+      can be compared by revision, answers from different histories
+      cannot.
 
     Ranks may be {e sparse}: only their relative order is meaningful,
     which is all the region predicates need. *)
@@ -39,9 +47,14 @@ type t = {
   children_of : int -> int array;
   rank_of_key : int -> int;
   scan : int -> (int -> node -> bool) -> unit;
+  history : int;
+  revision : int;
+  changed_at : string -> int;
 }
 
 val of_index : Axis_index.t -> t
+(** The batch index keeps no change history: [history] is [-1] and
+    [changed_at] reads [max_int] for every name. *)
 
 val root : t -> int * node
 (** The document element. *)

@@ -530,6 +530,25 @@ and collapse_expr = function
 
 and collapse_path p = { p with steps = collapse_steps p.steps }
 
+(* The names a path's answer can depend on, when its shape lets nothing
+   else move it: after [collapse], name tests on child and descendant
+   steps only, each predicate itself a relative path of that kind (an
+   existence test). Such a path selects the nodes of its last name that
+   stand in fixed child/descendant relations to nodes of its other
+   names, so its answer changes only when a node carrying one of them
+   is inserted, deleted, renamed or revalued. *)
+let name_signature (p : ast) =
+  let exception Opaque in
+  let rec steps acc = List.fold_left step acc
+  and step acc s =
+    match (s.axis, s.test) with
+    | (Child | Descendant), Name n -> List.fold_left pred (n :: acc) s.predicates
+    | _ -> raise Opaque
+  and pred acc = function Path q when not q.absolute -> steps acc q.steps | _ -> raise Opaque in
+  match steps [] (collapse_path p).steps with
+  | names -> Some (List.sort_uniq String.compare names)
+  | exception Opaque -> None
+
 (* ------------------------------------------------------------------ *)
 (* The evaluation engines                                              *)
 (* ------------------------------------------------------------------ *)

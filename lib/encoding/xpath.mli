@@ -35,6 +35,17 @@ val collapse : ast -> ast
     The indexed evaluators do this internally; exposed so a scan baseline
     can be timed on the collapsed form too. *)
 
+val name_signature : ast -> string list option
+(** The distinct names the path's answer depends on, if its collapsed
+    form is made only of name tests on child and descendant steps whose
+    predicates are relative paths of the same kind: [Some names] promises
+    that the answer (its nodes' kinds, names and values, in document
+    order) stays the same across any mutations that insert, delete,
+    rename or revalue no node carrying one of [names], as long as no
+    surviving node moves. [None] for every other shape — wildcards,
+    [node()], attribute, sibling, parent or following axes, positional
+    or comparison predicates. *)
+
 val eval : Encoding.t -> string -> Encoding.row list
 (** [eval enc path] parses and evaluates [path] with the document root as
     context node. The result is duplicate-free and in document order, as

@@ -14,7 +14,9 @@ module Axis_inc = Repro_encoding.Axis_inc
    - an oracle twin — a second document built from the same seed, so its
      labels are byte-identical — that replays every emitted plan through
      the journal resolver and must land on the same serialized bytes;
-   - the standing-query survival tracker over the PR 9 query engines.
+   - the standing-query survival tracker over the incremental index's
+     query engines, with every kept answer re-checked by a full
+     re-evaluation.
 
    The twin is the whole correctness argument: if the plan a migration
    compiled to replays to the same document on a fresh resolver, then the
@@ -58,6 +60,9 @@ type row = {
   r_changed : int;
   r_broken : int;
   r_queries : int;
+  r_evaluated : int;  (** standing-query evaluations a step made *)
+  r_kept : int;  (** answers a step kept without evaluation *)
+  r_mismatches : int;  (** kept answers a full re-evaluation contradicted — must be 0 *)
   r_error : string option;  (** a scheme crash mid-storm, storm cut short *)
 }
 
@@ -84,6 +89,7 @@ let run_scheme cfg pack =
   let inc = Axis_inc.create ~clock doc in
   let queries = Mig_survival.pool ~seed:cfg.seed ~count:cfg.queries doc in
   let tracked = Mig_survival.track (Axis_inc.source (Axis_inc.snapshot inc)) queries in
+  let tally = Mig_survival.tally () in
   let rng = Prng.create (cfg.seed lxor 0x6d69) in
   let cells = Array.init Migrate.kinds (fun _ -> cell ()) in
   let nodes0 = Core.Session.node_count session in
@@ -128,7 +134,8 @@ let run_scheme cfg pack =
             same bytes *)
          List.iter (fun o -> ignore (Journal.Resolver.apply twin_resolver o)) step_plan;
          if Serializer.to_string doc <> Serializer.to_string twin_doc then incr disagreements;
-         ignore (Mig_survival.step (Axis_inc.source (Axis_inc.snapshot inc)) tracked)
+         let src = Axis_inc.source (Axis_inc.snapshot inc) in
+         ignore (Mig_survival.step ~check:true ~tally src tracked)
      done
    with
   | Migrate.Migrate_error msg -> error := Some ("migrate: " ^ msg)
@@ -158,12 +165,16 @@ let run_scheme cfg pack =
     r_changed = changed;
     r_broken = broken;
     r_queries = cfg.queries;
+    r_evaluated = tally.Mig_survival.evaluated;
+    r_kept = tally.Mig_survival.skipped;
+    r_mismatches = tally.Mig_survival.mismatches;
     r_error = !error;
   }
 
 let run cfg packs = List.map (run_scheme cfg) packs
 
 let total_disagreements rows = List.fold_left (fun a r -> a + r.r_disagreements) 0 rows
+let total_mismatches rows = List.fold_left (fun a r -> a + r.r_mismatches) 0 rows
 
 (* ---- rendering ------------------------------------------------------- *)
 
@@ -191,6 +202,10 @@ let render ppf cfg rows =
          else Printf.sprintf "%d DISAGREEMENTS" r.r_disagreements)
         (if r.r_axis_ok then "ok" else "CORRUPT")
         r.r_survived r.r_changed r.r_broken r.r_queries;
+      Format.fprintf ppf "  survival: %d re-evaluated / %d skipped   check: %s@," r.r_evaluated
+        r.r_kept
+        (if r.r_mismatches = 0 then "0 mismatches"
+         else Printf.sprintf "%d MISMATCHES" r.r_mismatches);
       (match r.r_error with
       | Some e -> Format.fprintf ppf "  ERROR: storm cut short: %s@," e
       | None -> ());
@@ -198,8 +213,9 @@ let render ppf cfg rows =
     rows;
   let dis = total_disagreements rows in
   let errs = List.length (List.filter (fun r -> r.r_error <> None) rows) in
-  Format.fprintf ppf "total: %d scheme(s), %d oracle disagreement(s), %d error(s)@," (List.length rows)
-    dis errs
+  Format.fprintf ppf
+    "total: %d scheme(s), %d oracle disagreement(s), %d survival mismatch(es), %d error(s)@,"
+    (List.length rows) dis (total_mismatches rows) errs
 
 (* ---- JSON (for BENCH_migrate.json) ----------------------------------- *)
 
@@ -222,6 +238,7 @@ let to_json cfg rows =
   add "{\n  \"config\": {\"seed\": %d, \"nodes\": %d, \"steps\": %d, \"queries\": %d},\n"
     cfg.seed cfg.nodes cfg.steps cfg.queries;
   add "  \"total_disagreements\": %d,\n" (total_disagreements rows);
+  add "  \"total_survival_mismatches\": %d,\n" (total_mismatches rows);
   add "  \"schemes\": [\n";
   List.iteri
     (fun i r ->
@@ -232,6 +249,8 @@ let to_json cfg rows =
       add "     \"disagreements\": %d, \"axis_ok\": %b,\n" r.r_disagreements r.r_axis_ok;
       add "     \"queries\": {\"pool\": %d, \"survived\": %d, \"changed\": %d, \"broken\": %d},\n"
         r.r_queries r.r_survived r.r_changed r.r_broken;
+      add "     \"survival\": {\"evaluated\": %d, \"skipped\": %d, \"mismatches\": %d},\n"
+        r.r_evaluated r.r_kept r.r_mismatches;
       (match r.r_error with
       | Some e -> add "     \"error\": \"%s\",\n" (json_escape e)
       | None -> ());

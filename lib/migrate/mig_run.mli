@@ -8,7 +8,8 @@
     hence byte-identical labels) replays every emitted plan through
     {!Repro_journal.Journal.Resolver} and must serialize to the same
     bytes, and a standing-query pool is classified
-    survived/changed/broken after every step. *)
+    survived/changed/broken after every step — with every answer the
+    survival tracker kept re-checked by a full re-evaluation. *)
 
 type cell = {
   mutable c_ops : int;
@@ -36,6 +37,11 @@ type row = {
   r_changed : int;
   r_broken : int;
   r_queries : int;
+  r_evaluated : int;  (** standing-query evaluations the steps made *)
+  r_kept : int;  (** answers the steps kept without evaluation *)
+  r_mismatches : int;
+      (** kept answers the full re-evaluation ([step ~check:true])
+          contradicted — must be 0 *)
   r_error : string option;
 }
 
@@ -50,6 +56,9 @@ val run_scheme : config -> Core.Scheme.packed -> row
 val run : config -> Core.Scheme.packed list -> row list
 
 val total_disagreements : row list -> int
+
+val total_mismatches : row list -> int
+(** Kept survival answers contradicted by the full re-evaluation. *)
 
 val render : Format.formatter -> config -> row list -> unit
 

@@ -63,19 +63,81 @@ let pool ~seed ~count doc =
   in
   List.init count mk
 
-type tracked = { tq : query; mutable t_answer : answer; mutable t_verdict : verdict }
+(* The names whose changes can move a query's answer (see
+   [Xpath.name_signature]); a twig's answer is read from the name index
+   alone, so all its names are. *)
+let signature = function
+  | Q_xpath (_, ast) -> Xpath.name_signature ast
+  | Q_twig (_, t) ->
+    let rec names acc (t : Twig.t) =
+      List.fold_left (fun acc (_, b) -> names acc b) (t.name :: acc) t.branches
+    in
+    Some (List.sort_uniq String.compare (names [] t))
 
-let track src qs = List.map (fun q -> { tq = q; t_answer = answer src q; t_verdict = Survived }) qs
+type tracked = {
+  tq : query;
+  t_names : string list option;
+  mutable t_answer : answer;
+  mutable t_verdict : verdict;
+  mutable t_history : int;
+  mutable t_rev : int;
+}
 
-(* Re-evaluate the pool against a fresh snapshot; verdicts are sticky in
-   the worst direction (a query that broke once stays counted as broken
-   even if a later rewrite resurrects its answer), because the standing
+let track (src : Axis_source.t) qs =
+  List.map
+    (fun q ->
+      {
+        tq = q;
+        t_names = signature q;
+        t_answer = answer src q;
+        t_verdict = Survived;
+        t_history = src.history;
+        t_rev = src.revision;
+      })
+    qs
+
+type tally = { mutable evaluated : int; mutable skipped : int; mutable mismatches : int }
+
+let tally () = { evaluated = 0; skipped = 0; mismatches = 0 }
+
+(* A kept answer still holds when it came from the same change history,
+   no later than [src], and none of the query's names changed since.
+   Nothing but such a change can move it: the oplog primitives never
+   move a surviving node (a move is a delete plus a re-insert), so the
+   child/descendant relations among surviving nodes, and their document
+   order, are fixed. *)
+let unchanged (src : Axis_source.t) t =
+  match t.t_names with
+  | None -> false
+  | Some names ->
+    src.history = t.t_history && src.revision >= t.t_rev
+    && List.for_all (fun n -> src.changed_at n <= t.t_rev) names
+
+(* Bring the pool up to a fresh snapshot, re-evaluating only the queries
+   whose kept answers may have moved; [check] re-evaluates the rest too
+   and counts every kept answer that differs. Verdicts are sticky in the
+   worst direction (a query that broke once stays counted as broken even
+   if a later rewrite resurrects its answer), because the standing
    subscriber already saw the damage. *)
-let step src tracked =
+let step ?(check = false) ?(tally = tally ()) (src : Axis_source.t) tracked =
   let stepped = ref (0, 0) in
   List.iter
     (fun t ->
-      let now = answer src t.tq in
+      let now =
+        if unchanged src t then begin
+          tally.skipped <- tally.skipped + 1;
+          if not check then t.t_answer
+          else begin
+            let fresh = answer src t.tq in
+            if fresh <> t.t_answer then tally.mismatches <- tally.mismatches + 1;
+            fresh
+          end
+        end
+        else begin
+          tally.evaluated <- tally.evaluated + 1;
+          answer src t.tq
+        end
+      in
       (match classify ~before:t.t_answer ~after:now with
       | Survived -> ()
       | Changed ->
@@ -86,7 +148,9 @@ let step src tracked =
         let c, b = !stepped in
         stepped := (c, b + 1);
         t.t_verdict <- Broken);
-      t.t_answer <- now)
+      t.t_answer <- now;
+      t.t_history <- src.history;
+      t.t_rev <- src.revision)
     tracked;
   !stepped
 

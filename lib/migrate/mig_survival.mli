@@ -11,7 +11,16 @@
     the answer was non-empty and is now empty (the query's path shape no
     longer exists — the schema change severed it); {e changed} = anything
     else, including a previously-empty query lighting up. Per-query
-    verdicts are sticky in the worst direction across a storm. *)
+    verdicts are sticky in the worst direction across a storm.
+
+    A step re-evaluates only the queries whose answers may have moved.
+    Each query with a name signature ({!Repro_encoding.Xpath.name_signature};
+    every twig has one) keeps its answer without evaluation while the
+    source's change history stamps none of its names later than the
+    revision the answer was taken at. The oplog primitives never move a
+    surviving node, so nothing else can change such an answer; every
+    other query, and any answer taken from another history, is
+    re-evaluated. *)
 
 type query = Q_xpath of string * Repro_encoding.Xpath.ast | Q_twig of string * Repro_encoding.Twig.t
 
@@ -43,14 +52,33 @@ val pool : seed:int -> count:int -> Repro_xml.Tree.doc -> query list
 
 (** {1 Tracking across a storm} *)
 
-type tracked = { tq : query; mutable t_answer : answer; mutable t_verdict : verdict }
+type tracked = {
+  tq : query;
+  t_names : string list option;  (** the name signature, if the shape has one *)
+  mutable t_answer : answer;
+  mutable t_verdict : verdict;
+  mutable t_history : int;  (** the source history [t_answer] was taken from *)
+  mutable t_rev : int;  (** ... and the revision it holds at *)
+}
 
 val track : Repro_encoding.Axis_source.t -> query list -> tracked list
 (** Capture each query's baseline answer. *)
 
-val step : Repro_encoding.Axis_source.t -> tracked list -> int * int
-(** Re-evaluate after one migration step; updates stored answers and
-    sticky verdicts, returns [(changed, broken)] counts for this step. *)
+type tally = { mutable evaluated : int; mutable skipped : int; mutable mismatches : int }
+(** Per-query outcomes summed over steps: answers re-evaluated, answers
+    kept without evaluation, and kept answers a [check] found stale. *)
+
+val tally : unit -> tally
+(** All zero. *)
+
+val step :
+  ?check:bool -> ?tally:tally -> Repro_encoding.Axis_source.t -> tracked list -> int * int
+(** Bring the pool up to a fresh snapshot after one migration step;
+    updates stored answers and sticky verdicts, returns
+    [(changed, broken)] counts for this step. [check] (default [false])
+    also evaluates every query whose answer was kept, counts into
+    [tally] each one that differs, and goes on with the fresh answer, so
+    the verdicts are those of a full re-evaluation. *)
 
 val totals : tracked list -> int * int * int
 (** Final [(survived, changed, broken)] tallies. *)

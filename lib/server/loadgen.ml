@@ -444,7 +444,8 @@ let fetch_server_gauges cfg =
                 [ "commit/"; "loop/"; "cfg/"; "shed/"; "dedup/"; "query/";
                   "migrate/" ]
             then
-              (* gauges carry their sample in m_total_ns; the plain
+              (* gauges carry their sample in m_total_ns, and timed
+                 records (migrate/survival) their total time; the plain
                  counters in the family (commit/flush cycles, dedup hits,
                  shed refusals) carry theirs in m_count *)
               Some

@@ -455,6 +455,9 @@ type core = {
   mg_relabelled : int Atomic.t;
   mg_journal_bytes : int Atomic.t;
   mg_broken : int Atomic.t;
+  mg_evaluated : int Atomic.t;  (** standing-query evaluations survival made *)
+  mg_skipped : int Atomic.t;  (** ... and answers it kept unevaluated *)
+  mg_mismatch : int Atomic.t;  (** kept answers a [paranoid] check contradicted *)
   mutable mgr_thread : Thread.t option;  (** the replication manager, on replicas *)
   (* ---- flusher state, under [f_mu] ---- *)
   f_mu : Mutex.t;
@@ -1127,13 +1130,26 @@ let exec_migrate_checked t d specs =
   in
   (* blast-radius accounting covers whatever prefix actually ran *)
   let now = d.d_view.Core.Session.stats () in
+  let tally = Mig_survival.tally () in
+  let s0 = Metrics.monotonic_ns () in
   let _, broken =
-    Mig_survival.step (Axis_inc.source (Axis_inc.snapshot d.d_inc)) tracked
+    Mig_survival.step ~check:t.cfg.paranoid ~tally
+      (Axis_inc.source (Axis_inc.snapshot d.d_inc))
+      tracked
   in
+  Metrics.record t.metrics ~key:"migrate/survival" ~ok:true
+    ~ns:(Int64.to_int (Int64.sub (Metrics.monotonic_ns ()) s0));
   let bump counter v =
     ignore (Atomic.fetch_and_add counter v);
     Atomic.get counter
   in
+  Metrics.gauge t.metrics ~key:"migrate/survival_evaluated"
+    ~value:(bump t.mg_evaluated tally.Mig_survival.evaluated);
+  Metrics.gauge t.metrics ~key:"migrate/survival_skipped"
+    ~value:(bump t.mg_skipped tally.Mig_survival.skipped);
+  if t.cfg.paranoid then
+    Metrics.gauge t.metrics ~key:"migrate/survival_mismatch"
+      ~value:(bump t.mg_mismatch tally.Mig_survival.mismatches);
   Metrics.gauge t.metrics ~key:"migrate/relabelled"
     ~value:(bump t.mg_relabelled (now.Core.Stats.s_relabelled - before.Core.Stats.s_relabelled));
   Metrics.gauge t.metrics ~key:"migrate/journal_bytes"
@@ -1910,6 +1926,9 @@ let start_core cfg =
       mg_relabelled = Atomic.make 0;
       mg_journal_bytes = Atomic.make 0;
       mg_broken = Atomic.make 0;
+      mg_evaluated = Atomic.make 0;
+      mg_skipped = Atomic.make 0;
+      mg_mismatch = Atomic.make 0;
       mgr_thread = None;
       f_mu = Mutex.create ();
       f_pending = 0;

@@ -120,7 +120,10 @@ type config = {
   paranoid : bool;
       (** re-derive every served Xpath/Twig answer through the scan
           reference evaluator over the same published snapshot; a
-          divergence is answered as [Internal], never served *)
+          divergence is answered as [Internal], never served; and
+          re-evaluate every standing-query answer migration survival
+          kept, counting contradictions in the
+          ["migrate/survival_mismatch"] gauge *)
 }
 
 val default_config : root:string -> config

@@ -135,10 +135,20 @@ type mig_counters = {
   mc_relabelled : int Atomic.t;
   mc_journal_bytes : int Atomic.t;
   mc_broken : int Atomic.t;
+  mc_evaluated : int Atomic.t;  (** standing-query evaluations survival made *)
+  mc_skipped : int Atomic.t;  (** ... and answers it kept unevaluated *)
+  mc_mismatch : int Atomic.t;  (** kept answers a [paranoid] check contradicted *)
 }
 
 let mig_counters () =
-  { mc_relabelled = Atomic.make 0; mc_journal_bytes = Atomic.make 0; mc_broken = Atomic.make 0 }
+  {
+    mc_relabelled = Atomic.make 0;
+    mc_journal_bytes = Atomic.make 0;
+    mc_broken = Atomic.make 0;
+    mc_evaluated = Atomic.make 0;
+    mc_skipped = Atomic.make 0;
+    mc_mismatch = Atomic.make 0;
+  }
 
 type actor = {
   a_doc : string;
@@ -483,11 +493,26 @@ let exec_migrate_checked cfg metrics a specs =
   in
   (* blast-radius accounting covers whatever prefix actually ran *)
   let now = a.a_view.Core.Session.stats () in
-  let _, broken = Mig_survival.step (Axis_inc.source (Axis_inc.snapshot a.a_inc)) tracked in
+  let tally = Mig_survival.tally () in
+  let s0 = Metrics.monotonic_ns () in
+  let _, broken =
+    Mig_survival.step ~check:cfg.paranoid ~tally
+      (Axis_inc.source (Axis_inc.snapshot a.a_inc))
+      tracked
+  in
+  Metrics.record metrics ~key:"migrate/survival" ~ok:true
+    ~ns:(Int64.to_int (Int64.sub (Metrics.monotonic_ns ()) s0));
   let bump counter v =
     ignore (Atomic.fetch_and_add counter v);
     Atomic.get counter
   in
+  Metrics.gauge metrics ~key:"migrate/survival_evaluated"
+    ~value:(bump a.a_migc.mc_evaluated tally.Mig_survival.evaluated);
+  Metrics.gauge metrics ~key:"migrate/survival_skipped"
+    ~value:(bump a.a_migc.mc_skipped tally.Mig_survival.skipped);
+  if cfg.paranoid then
+    Metrics.gauge metrics ~key:"migrate/survival_mismatch"
+      ~value:(bump a.a_migc.mc_mismatch tally.Mig_survival.mismatches);
   Metrics.gauge metrics ~key:"migrate/relabelled"
     ~value:
       (bump a.a_migc.mc_relabelled

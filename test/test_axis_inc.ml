@@ -128,6 +128,90 @@ let detach_stops_maintenance () =
   | Ok () -> Alcotest.fail "detached index still tracked the document"
   | Error _ -> ()
 
+(* ---- per-name change stamps ------------------------------------------ *)
+
+module Survival = Repro_migrate.Mig_survival
+module Tree = Repro_xml.Tree
+
+let find doc name =
+  match List.find_opt (fun n -> n.Tree.name = name) (Array.to_list (Tree.preorder_array doc)) with
+  | Some n -> n
+  | None -> Alcotest.failf "no node %S" name
+
+(* One survival step over [src], returning the step's tally. *)
+let step src tracked =
+  let tally = Survival.tally () in
+  ignore (Survival.step ~check:true ~tally src tracked);
+  Alcotest.(check int) "kept answers match a full re-evaluation" 0 tally.Survival.mismatches;
+  tally
+
+let value_change_forces_reevaluation () =
+  let doc = Repro_xml.Parser.parse "<r><a><b>x</b></a><c>y</c></r>" in
+  let inc = Axis_inc.create doc in
+  let src () = Axis_inc.source (Axis_inc.snapshot inc) in
+  let tracked = Survival.track (src ()) (List.map Survival.parse_xpath [ "//a/b"; "//c" ]) in
+  Tree.set_value doc (find doc "b") (Some "z");
+  let t = step (src ()) tracked in
+  Alcotest.(check (pair int int)) "the //a/b query re-evaluated, //c kept" (1, 1)
+    (t.Survival.evaluated, t.Survival.skipped);
+  Alcotest.(check bool) "the new value reached the kept answer" true
+    ((List.hd tracked).Survival.t_answer = [ (Encoding.Element, "b", Some "z") ]);
+  Tree.rename doc (Tree.root doc) "s";
+  let t = step (src ()) tracked in
+  Alcotest.(check (pair int int)) "a root rename touches neither query" (0, 2)
+    (t.Survival.evaluated, t.Survival.skipped);
+  Axis_inc.detach inc
+
+(* Renumbering moves the ranks of nodes nobody touched: it must stamp
+   none of their names. *)
+let renumbering_stamps_nothing () =
+  let doc = Repro_xml.Parser.parse "<r><a><b/><c/></a><d/></r>" in
+  let inc = Axis_inc.create doc in
+  let before = Axis_inc.snapshot inc in
+  let a = find doc "a" in
+  for _ = 1 to 200 do
+    ignore (Tree.insert_first_child doc a (Tree.elt "u" []))
+  done;
+  let after = Axis_inc.snapshot inc in
+  Alcotest.(check bool) "the inserts renumbered rank windows" true
+    ((Axis_inc.stats inc).Axis_inc.renumbered > 0);
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " keeps its stamp") (Axis_inc.changed_at before name)
+        (Axis_inc.changed_at after name))
+    [ "r"; "a"; "b"; "c"; "d" ];
+  Alcotest.(check int) "the inserted name is stamped at the last insert" (Axis_inc.rev after)
+    (Axis_inc.changed_at after "u");
+  Axis_inc.detach inc
+
+(* The batch index keeps no history, so nothing it answers is ever kept. *)
+let of_index_never_skips () =
+  let doc = base_doc 11 in
+  let src = Axis_source.of_index (Axis_index.build (Encoding.of_doc doc)) in
+  let pool = Survival.pool ~seed:11 ~count:12 doc in
+  let tracked = Survival.track src pool in
+  for _ = 1 to 2 do
+    let t = step src tracked in
+    Alcotest.(check (pair int int)) "every query re-evaluated" (List.length pool, 0)
+      (t.Survival.evaluated, t.Survival.skipped)
+  done
+
+(* Names that come and go must not grow the stamp map without bound. *)
+let stamps_stay_bounded () =
+  let doc = base_doc 5 in
+  let inc = Axis_inc.create doc in
+  let root = Tree.root doc in
+  for i = 1 to 10_000 do
+    Tree.delete doc (Tree.insert_last_child doc root (Tree.elt (Printf.sprintf "n%d" i) []))
+  done;
+  let live = Hashtbl.create 16 in
+  Tree.iter_preorder (fun n -> Hashtbl.replace live n.Tree.name ()) doc;
+  let live = Hashtbl.length live and stamped = Axis_inc.stamped (Axis_inc.snapshot inc) in
+  if stamped > (4 * live) + 64 then
+    Alcotest.failf "%d stamps for %d live names after 10k fresh names" stamped live;
+  (match Axis_inc.verify inc with Ok () -> () | Error e -> Alcotest.fail e);
+  Axis_inc.detach inc
+
 let suite =
   [
     ( "incremental index equals full rebuild after every op (all schemes)",
@@ -136,4 +220,10 @@ let suite =
     ("snapshot queries agree with scan and dense engines", `Slow, snapshot_queries_agree);
     ("snapshots are immutable under further mutation", `Quick, snapshots_are_immutable);
     ("detach stops maintenance", `Quick, detach_stops_maintenance);
+    ( "a value change on a selected name forces re-evaluation",
+      `Quick,
+      value_change_forces_reevaluation );
+    ("renumbering a rank window stamps nothing", `Quick, renumbering_stamps_nothing);
+    ("of_index never skips", `Quick, of_index_never_skips);
+    ("the stamp map stays bounded by the live names", `Quick, stamps_stay_bounded);
   ]

@@ -142,6 +142,8 @@ let oracle_agrees_everywhere () =
       | Some e -> Alcotest.failf "%s: storm died: %s" r.Run.r_scheme e);
       check Alcotest.int (r.Run.r_scheme ^ ": oracle replay agrees") 0
         r.Run.r_disagreements;
+      check Alcotest.int (r.Run.r_scheme ^ ": survival kept no stale answer") 0
+        r.Run.r_mismatches;
       check Alcotest.bool (r.Run.r_scheme ^ ": incremental index verifies") true
         r.Run.r_axis_ok;
       check Alcotest.bool (r.Run.r_scheme ^ ": storm made progress") true
@@ -171,6 +173,95 @@ let axis_inc_survives_storm () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "incremental index diverged from rebuild: %s" e);
   Repro_encoding.Axis_inc.detach inc
+
+(* ---- standing-query survival keeps only answers that still hold -------- *)
+
+module Survival = Repro_migrate.Mig_survival
+module Prng = Repro_codes.Prng
+
+(* Shapes the name-signature rule leaves out ride along: a step must
+   re-evaluate them every time. *)
+let unsigned_queries =
+  [ "//*"; "//item[2]"; "//item/following-sibling::entry"; "//@id"; "//section[@kind]";
+    "//entry[field = 'alpha']"; "/*//field"; "//group/node()" ]
+
+(* A seeded storm over a fresh document: plain primitives through the
+   journal resolver — inserts of pooled names, deletes, renames (the
+   document element included) and value changes — interleaved with all
+   six migration operators. After every operation the pool is stepped
+   with the full re-evaluation on; the storm returns the summed tally of
+   answers re-evaluated, kept, and kept but stale. *)
+let survival_storm scheme seed =
+  let pack =
+    match Repro_schemes.Registry.find scheme with
+    | Some p -> p
+    | None -> Alcotest.failf "%s not registered" scheme
+  in
+  let doc =
+    Repro_workload.Docgen.generate ~seed
+      { Repro_workload.Docgen.default_shape with target_nodes = 80 }
+  in
+  let session = Core.Session.make pack doc in
+  let r = Journal.Resolver.create session in
+  let ap = { M.ap_session = session; ap_run = (fun o -> Journal.Resolver.apply r o) } in
+  let inc = Repro_encoding.Axis_inc.create doc in
+  let src () = Repro_encoding.Axis_inc.source (Repro_encoding.Axis_inc.snapshot inc) in
+  let names = Survival.element_names doc in
+  let pool =
+    Survival.pool ~seed ~count:12 doc
+    @ List.map Survival.parse_xpath unsigned_queries
+    @ [ Survival.parse_twig "section[field//meta]" ]
+  in
+  let tracked = Survival.track (src ()) pool in
+  let tally = Survival.tally () in
+  let rng = Prng.create (seed lxor 0x5e7) in
+  let pick a = a.(Prng.int rng (Array.length a)) in
+  let lab n =
+    let l_bytes, l_bits = session.Core.Session.label_encoded n in
+    { Oplog.l_bytes; l_bits }
+  in
+  let prim o = ignore (Journal.Resolver.apply r o) in
+  for step = 0 to 39 do
+    let nodes = Tree.preorder_array doc in
+    let elements =
+      Array.of_list (List.filter (fun n -> n.Tree.kind = Tree.Element) (Array.to_list nodes))
+    in
+    (match Prng.int rng 6 with
+    | 0 -> prim (Oplog.Insert_last (lab (pick elements), Tree.elt ~value:"alpha" (pick names) []))
+    | 1 when Array.length nodes > 10 ->
+      prim (Oplog.Delete (lab nodes.(1 + Prng.int rng (Array.length nodes - 1))))
+    | 2 ->
+      let n = if Prng.int rng 3 = 0 then Tree.root doc else pick elements in
+      prim (Oplog.Rename (lab n, pick names))
+    | 3 -> prim (Oplog.Replace_value (lab (pick nodes), Some (pick [| "alpha"; "bravo" |])))
+    | _ -> Option.iter (fun op -> ignore (M.apply ap op)) (Gen.next rng doc ~step));
+    ignore (Survival.step ~check:true ~tally (src ()) tracked)
+  done;
+  Repro_encoding.Axis_inc.detach inc;
+  tally
+
+let survival_matches_reevaluation scheme =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:12
+       ~name:(scheme ^ ": every kept survival answer equals a full re-evaluation")
+       QCheck.(int_bound 100_000)
+       (fun seed ->
+         let t = survival_storm scheme seed in
+         if t.Survival.mismatches > 0 then
+           QCheck.Test.fail_reportf "seed %d: %d stale kept answer(s)" seed t.Survival.mismatches;
+         true))
+
+(* The property above holds vacuously if nothing is ever kept. *)
+let survival_skips () =
+  let t = survival_storm "QED" 7 in
+  check Alcotest.int "no stale kept answer" 0 t.Survival.mismatches;
+  check Alcotest.bool "some answers kept unevaluated" true (t.Survival.skipped > 0);
+  check Alcotest.bool "some answers re-evaluated" true (t.Survival.evaluated > 0);
+  List.iter
+    (fun q ->
+      check Alcotest.bool (q ^ " has no name signature") true
+        (Repro_encoding.Xpath.name_signature (Repro_encoding.Xpath.parse q) = None))
+    unsigned_queries
 
 (* ---- the wire path ---------------------------------------------------- *)
 
@@ -312,4 +403,7 @@ let suite =
       (migrate_over_the_wire ~legacy:true);
     Alcotest.test_case "oversized batch refused" `Quick oversized_batch_refused;
     Alcotest.test_case "migrate retry is exactly-once" `Quick migrate_retry_exactly_once;
+    survival_matches_reevaluation "QED";
+    survival_matches_reevaluation "Vector";
+    Alcotest.test_case "survival keeps answers under a storm" `Quick survival_skips;
   ]
