@@ -70,6 +70,10 @@ type t = {
   label_bits : Tree.node -> int;
   label_encoded : Tree.node -> string * int;
       (** the label's concrete binary form: bytes and significant bits *)
+  label_encoded_direct : Tree.node -> string * int;
+      (** [label_encoded] read straight from the scheme, filling no memo:
+          for one-pass walks (the journal's label resolver) whose entries
+          the next mutation would throw away *)
   codec_roundtrips : Tree.node -> bool;
       (** decode (encode label) = label — checked by the test suite *)
   order : Tree.node -> Tree.node -> int;
@@ -214,6 +218,7 @@ let build (module S : Scheme.S) doc ~stored =
     label_string = memoized memo_string S.label_to_string;
     label_bits = (fun n -> S.storage_bits (lab n));
     label_encoded = memoized memo_encoded S.encode_label;
+    label_encoded_direct = (fun n -> S.encode_label (S.label state n));
     codec_roundtrips =
       (fun n ->
         let l = lab n in

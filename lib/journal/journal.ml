@@ -63,10 +63,13 @@ let parse_log_header data =
 
 (* Records address nodes by encoded label; the resolver inverts
    [label_encoded] over the live document. The table is extended in place
-   after inserts that relabelled nothing and rebuilt from scratch whenever
-   the scheme touched existing labels (relabelling or overflow) or a
-   subtree was deleted. Exposed as a submodule: the network server keeps
-   one per document actor so a stream of updates resolves incrementally
+   after inserts and shrunk in place after deletes that relabelled
+   nothing, and rebuilt from scratch only when the scheme touched existing
+   labels (relabelling or overflow). Labels are read straight from the
+   scheme ([label_encoded_direct]): the session's per-revision memo would
+   grow to the whole document on a rebuild, only to be dropped by the
+   next mutation. Exposed as a submodule: the network server keeps one
+   per document actor so a stream of updates resolves incrementally
    instead of rebuilding per record. *)
 module Resolver = struct
   type t = {
@@ -75,12 +78,14 @@ module Resolver = struct
     mutable dirty : bool;
   }
 
-  let create rs = { rs; table = Hashtbl.create 256; dirty = true }
+  let create rs =
+    { rs; table = Hashtbl.create (max 256 (Tree.size rs.Core.Session.doc)); dirty = true }
 
   let add_node r (n : Tree.node) =
-    let key = r.rs.Core.Session.label_encoded n in
-    let prev = Option.value (Hashtbl.find_opt r.table key) ~default:[] in
-    Hashtbl.replace r.table key (n :: prev)
+    let key = r.rs.Core.Session.label_encoded_direct n in
+    match Hashtbl.find_opt r.table key with
+    | None -> Hashtbl.add r.table key [ n ]
+    | Some prev -> Hashtbl.replace r.table key (n :: prev)
 
   (* Remove one physical node from its bucket. The key is captured by the
      caller before the node leaves the document (its label is gone after). *)
@@ -92,8 +97,10 @@ module Resolver = struct
       | [] -> Hashtbl.remove r.table key
       | rest -> Hashtbl.replace r.table key rest)
 
+  (* [clear] keeps the bucket array: a relabel leaves the node count
+     about where it was, so the table never regrows from scratch *)
   let rebuild r =
-    Hashtbl.reset r.table;
+    Hashtbl.clear r.table;
     Tree.iter_preorder (add_node r) r.rs.Core.Session.doc;
     r.dirty <- false
 
@@ -135,7 +142,7 @@ module Resolver = struct
          ruinous under a delete-heavy network workload). *)
       let removed = ref [] in
       if not r.dirty then begin
-        let key n = (s.Core.Session.label_encoded n, n) in
+        let key n = (s.Core.Session.label_encoded_direct n, n) in
         removed := [ key victim ];
         Tree.iter_descendants (fun n -> removed := key n :: !removed) victim
       end;

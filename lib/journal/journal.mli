@@ -175,9 +175,9 @@ val log_path : base:string -> epoch:int -> string
 (** The label-to-node resolver behind replay, exposed so long-lived
     consumers (the network server's per-document actors, tests) can keep
     one across a stream of operations: the inverted [label_encoded] table
-    is extended in place after inserts that relabelled nothing and rebuilt
-    lazily after deletes or scheme churn, instead of being rebuilt per
-    record. *)
+    is extended in place after inserts and shrunk in place after deletes
+    that relabelled nothing, and rebuilt lazily only after scheme churn
+    (relabelling or overflow), instead of being rebuilt per record. *)
 module Resolver : sig
   type t
   (** One resolver bound to one session. *)

@@ -424,7 +424,23 @@ type loop_state = {
   l_wake_w : Unix.file_descr;
   l_mu : Mutex.t;
   mutable l_incoming : conn list;
+      (** connections to (re-)arm: fresh from accept, or handed back by a
+          query worker; under [l_mu] *)
+  mutable l_inflight : int;  (** this loop's connections on a query worker; under [l_mu] *)
 }
+
+(* One Xpath/Twig request handed from a loop to a query worker. *)
+type query_job = {
+  qj_conn : conn;
+  qj_loop : loop_state;  (** where the connection goes back to *)
+  qj_req : P.req;
+  qj_t0 : float;  (** wall clock at frame decode: [req/<class>] spans the wait *)
+  qj_queued : int64;  (** {!Metrics.monotonic_ns} at hand-off, for [query/wait] *)
+}
+
+let wake_loop ls =
+  try ignore (Unix.write ls.l_wake_w (Bytes.of_string "x") 0 1)
+  with Unix.Unix_error _ -> ()
 
 (* ring size for the flush-cycle instruments *)
 let ring_size = 512
@@ -459,6 +475,12 @@ type core = {
   mg_skipped : int Atomic.t;  (** ... and answers it kept unevaluated *)
   mg_mismatch : int Atomic.t;  (** kept answers a [paranoid] check contradicted *)
   mutable mgr_thread : Thread.t option;  (** the replication manager, on replicas *)
+  (* ---- query workers, under [q_mu] ---- *)
+  q_mu : Mutex.t;
+  q_cond : Condition.t;
+  q_jobs : query_job Queue.t;
+  mutable q_stop : bool;
+  mutable q_workers : Pool.Loops.t option;  (** [None] until the first wire query *)
   (* ---- flusher state, under [f_mu] ---- *)
   f_mu : Mutex.t;
   mutable f_pending : int;  (** parked replies not yet released *)
@@ -875,9 +897,9 @@ let doc_of_req = function
   | P.Promote d ->
     Some d
 
-(* Wire queries never enter the document's write path: they are evaluated
-   inline on the loop domain that read the frame, against whatever
-   snapshot+index pair the writer last published. *)
+(* Wire queries never enter the document's write path: a query worker
+   evaluates them (see "query workers" below) against whatever
+   snapshot+index pair the writer last published, taking no lock. *)
 let serve_wire_query t doc query limit =
   match find_doc t doc with
   | None -> P.Err (P.Unknown_doc, doc)
@@ -1265,61 +1287,152 @@ let dispatch_inline t req =
   | P.Promote _ ->
     assert false
 
-let handle_frame t conn payload =
+(* Answer a request that needs no document lock and send the reply: the
+   inline reads on the loop, Xpath/Twig on a query worker. *)
+let answer t conn req t0 =
+  let resp =
+    try dispatch_inline t req with
+    | Reject (e, msg) -> P.Err (e, msg)
+    | Io.Io_error { op; reason; _ } -> P.Err (P.Internal, op ^ ": " ^ reason)
+    | e -> P.Err (P.Internal, Printexc.to_string e)
+  in
+  respond t conn ?doc:(doc_of_req req) (P.req_class req) t0 resp
+
+(* ---- query workers --------------------------------------------------
+
+   Xpath and Twig are the only reads that take long enough to be worth a
+   hand-off; every other read stays inline on the loop. The workers are
+   [Pool.cores ()] domains started through [Pool.Loops] when the first
+   wire query arrives, so set-up and query-free traffic run on exactly
+   the loop domains they would without them.
+
+   Reply order per connection: while a connection has a query in flight,
+   its loop leaves it out of the select set and decodes none of its
+   buffered frames. The worker sends the reply under [c_send_mu] (as the
+   flusher does) and hands the connection back through the loop's
+   [l_incoming] list; on re-arm the loop first drains the frames already
+   in the connection's decoder. A loop exits only when none of its
+   connections is in flight, so no connection is retired or closed under
+   a worker. *)
+
+let rec query_worker t =
+  Mutex.lock t.q_mu;
+  while Queue.is_empty t.q_jobs && not t.q_stop do
+    Condition.wait t.q_cond t.q_mu
+  done;
+  match Queue.take_opt t.q_jobs with
+  | None -> Mutex.unlock t.q_mu
+  | Some j ->
+    Mutex.unlock t.q_mu;
+    Metrics.record t.metrics ~key:"query/wait" ~ok:true
+      ~ns:(Int64.to_int (Int64.sub (Metrics.monotonic_ns ()) j.qj_queued));
+    (* whatever happens, the connection goes back: its loop waits for it *)
+    (try answer t j.qj_conn j.qj_req j.qj_t0
+     with e -> t.cfg.log ("query worker: " ^ Printexc.to_string e));
+    let ls = j.qj_loop in
+    Mutex.lock ls.l_mu;
+    ls.l_incoming <- j.qj_conn :: ls.l_incoming;
+    ls.l_inflight <- ls.l_inflight - 1;
+    Mutex.unlock ls.l_mu;
+    wake_loop ls;
+    query_worker t
+
+let submit_query t ls conn req t0 =
+  Mutex.protect ls.l_mu (fun () -> ls.l_inflight <- ls.l_inflight + 1);
+  Mutex.lock t.q_mu;
+  if Option.is_none t.q_workers then begin
+    let n = Pool.cores () in
+    t.q_workers <- Some (Pool.Loops.spawn ~domains:n (fun _ -> query_worker t));
+    Metrics.gauge t.metrics ~key:"query/workers" ~value:n
+  end;
+  Queue.push
+    { qj_conn = conn; qj_loop = ls; qj_req = req; qj_t0 = t0;
+      qj_queued = Metrics.monotonic_ns () }
+    t.q_jobs;
+  Condition.signal t.q_cond;
+  Mutex.unlock t.q_mu
+
+(* Called once every loop has been joined: nothing is in flight, so the
+   queue is empty and the workers are idle. *)
+let stop_workers t =
+  Mutex.lock t.q_mu;
+  t.q_stop <- true;
+  Condition.broadcast t.q_cond;
+  let workers = t.q_workers in
+  t.q_workers <- None;
+  Mutex.unlock t.q_mu;
+  match workers with
+  | None -> ()
+  | Some w ->
+    Pool.Loops.join w;
+    Metrics.gauge t.metrics ~key:"query/workers" ~value:0
+
+(* Handle one decoded frame; [true] when it went to a query worker. *)
+let handle_frame t ls conn payload =
   let t0 = Unix.gettimeofday () in
   match P.decode_req payload with
   | Error reason ->
     (* frame boundary held, only the payload is bad — the stream is still
        in sync, so reply and keep going *)
     record t "bad-frame" ~ok:false ~ns:(ns_since t0);
-    send_resp t conn (P.Err (P.Bad_frame, reason))
+    send_resp t conn (P.Err (P.Bad_frame, reason));
+    false
   | Ok req -> (
     match req with
-    | P.Ping | P.Metrics | P.Open _ | P.Query _ | P.Xpath _ | P.Twig _ | P.Stats _
-    | P.Ack _ | P.Docs ->
-      let resp =
-        try dispatch_inline t req with
-        | Reject (e, msg) -> P.Err (e, msg)
-        | Io.Io_error { op; reason; _ } -> P.Err (P.Internal, op ^ ": " ^ reason)
-        | e -> P.Err (P.Internal, Printexc.to_string e)
-      in
-      respond t conn ?doc:(doc_of_req req) (P.req_class req) t0 resp
+    | P.Xpath _ | P.Twig _ ->
+      submit_query t ls conn req t0;
+      true
+    | P.Ping | P.Metrics | P.Open _ | P.Query _ | P.Stats _ | P.Ack _ | P.Docs ->
+      answer t conn req t0;
+      false
     | P.Update _ | P.Migrate _ | P.Labels _ | P.Checkpoint _ | P.Subscribe _ | P.Replicate _
-    | P.Promote _ -> (
+    | P.Promote _ ->
       let doc = Option.get (doc_of_req req) in
-      match find_doc t doc with
+      (match find_doc t doc with
       | None -> respond t conn ~doc (P.req_class req) t0 (P.Err (P.Unknown_doc, doc))
-      | Some d -> dispatch_doc t conn d req t0))
+      | Some d -> dispatch_doc t conn d req t0);
+      false)
 
 (* ---- the event loop ------------------------------------------------- *)
 
+(* Where a connection goes once its buffered frames are handled. *)
+type next =
+  | Poll  (** back into the select set *)
+  | Busy  (** a query worker has it *)
+  | Drop  (** retire it *)
+
+(* Handle every whole frame in the connection's decoder, stopping at a
+   hand-off to a query worker: the frames behind it wait in the decoder
+   until the connection is re-armed. *)
+let rec pump t ls conn =
+  match Wire.Decoder.next conn.c_dec with
+  | `More -> if Mutex.protect conn.c_send_mu (fun () -> conn.c_alive) then Poll else Drop
+  | `Bad reason ->
+    (* a torn frame means the stream is out of sync: answer once so
+       the client learns why, then hang up *)
+    record t "bad-frame" ~ok:false ~ns:0;
+    send_resp t conn (P.Err (P.Bad_frame, reason));
+    Drop
+  | `Frame payload -> (
+    match handle_frame t ls conn payload with
+    | true -> Busy
+    | false -> pump t ls conn
+    | exception e ->
+      t.cfg.log ("conn: " ^ Printexc.to_string e);
+      pump t ls conn)
+
 (* Service one readable connection: read what the socket has, feed the
-   decoder, handle every whole frame. Returns [false] when the connection
-   should leave the poll set. *)
-let service t buf conn =
+   decoder, pump it. *)
+let service t ls buf conn =
   match t.cfg.sock.Io.s_recv conn.c_fd buf 0 (Bytes.length buf) with
   | exception Io.Io_error { reason; _ } ->
     t.cfg.log ("conn recv: " ^ reason);
-    false
-  | 0 -> false
+    Drop
+  | 0 -> Drop
   | n ->
     conn.c_last <- Unix.gettimeofday ();
     Wire.Decoder.feed conn.c_dec buf 0 n;
-    let rec pump () =
-      match Wire.Decoder.next conn.c_dec with
-      | `More -> true
-      | `Bad reason ->
-        (* a torn frame means the stream is out of sync: answer once so
-           the client learns why, then hang up *)
-        record t "bad-frame" ~ok:false ~ns:0;
-        send_resp t conn (P.Err (P.Bad_frame, reason));
-        false
-      | `Frame payload ->
-        (try handle_frame t conn payload
-         with e -> t.cfg.log ("conn: " ^ Printexc.to_string e));
-        pump ()
-    in
-    pump () && Mutex.protect conn.c_send_mu (fun () -> conn.c_alive)
+    pump t ls conn
 
 let gauge_loop_util t idx ~busy ~total ~polls =
   if total > 0. then
@@ -1334,13 +1447,24 @@ let event_loop t ls =
   let conns = ref [] in
   let busy = ref 0. and idle = ref 0. and polls = ref 0 in
   let last_gauge = ref (Unix.gettimeofday ()) in
+  (* arm what accept dealt and what the workers handed back, draining the
+     frames a handed-back connection already has buffered *)
   let take_incoming () =
     Mutex.lock ls.l_mu;
     let fresh = ls.l_incoming in
     ls.l_incoming <- [];
     Mutex.unlock ls.l_mu;
-    conns := !conns @ fresh
+    let now = Unix.gettimeofday () in
+    List.iter
+      (fun c ->
+        c.c_last <- now;
+        match pump t ls c with
+        | Poll -> conns := c :: !conns
+        | Busy -> ()
+        | Drop -> retire t c)
+      (List.rev fresh)
   in
+  let quiet () = Mutex.protect ls.l_mu (fun () -> ls.l_inflight = 0 && ls.l_incoming = []) in
   let rec run () =
     let t_enter = Unix.gettimeofday () in
     let fds = ls.l_wake_r :: List.map (fun c -> c.c_fd) !conns in
@@ -1362,26 +1486,25 @@ let event_loop t ls =
     conns :=
       List.filter
         (fun c ->
-          let keep =
-            if List.mem c.c_fd ready then service t buf c
-            else
-              t.cfg.recv_timeout <= 0.
-              || now -. c.c_last <= t.cfg.recv_timeout
-              ||
-              (t.cfg.log "conn recv: timed out";
-               false)
+          let next =
+            if List.mem c.c_fd ready then service t ls buf c
+            else if t.cfg.recv_timeout <= 0. || now -. c.c_last <= t.cfg.recv_timeout then Poll
+            else begin
+              t.cfg.log "conn recv: timed out";
+              Drop
+            end
           in
-          if not keep then retire t c;
-          keep)
+          if next = Drop then retire t c;
+          next = Poll)
         !conns;
-    busy := !busy +. (Unix.gettimeofday () -. now);
+    busy := !busy +. (Unix.gettimeofday () -. t_awake);
     if now -. !last_gauge > 0.5 then begin
       last_gauge := now;
       gauge_loop_util t ls.l_idx ~busy:!busy ~total:(!busy +. !idle) ~polls:!polls
     end;
     if Atomic.get t.closing then begin
       take_incoming ();
-      if !conns <> [] then run ()
+      if !conns <> [] || not (quiet ()) then run ()
       else gauge_loop_util t ls.l_idx ~busy:!busy ~total:(!busy +. !idle) ~polls:!polls
     end
     else run ()
@@ -1821,10 +1944,6 @@ let manager_loop t (host, port) =
 
 (* ---- accept loop, lifecycle ---------------------------------------- *)
 
-let wake_loop ls =
-  try ignore (Unix.write ls.l_wake_w (Bytes.of_string "x") 0 1)
-  with Unix.Unix_error _ -> ()
-
 let accept_loop t =
   let next_loop = ref 0 in
   let rec loop () =
@@ -1875,7 +1994,8 @@ let gauge_config t =
   Metrics.gauge t.metrics ~key:"cfg/fsync_every" ~value:t.cfg.fsync_every;
   Metrics.gauge t.metrics ~key:"cfg/commit_interval_us" ~value:t.cfg.commit_interval_us;
   Metrics.gauge t.metrics ~key:"cfg/commit_max" ~value:t.cfg.commit_max;
-  Metrics.gauge t.metrics ~key:"cfg/loop_domains" ~value:(Array.length t.loops)
+  Metrics.gauge t.metrics ~key:"cfg/loop_domains" ~value:(Array.length t.loops);
+  Metrics.gauge t.metrics ~key:"query/workers" ~value:0
 
 let start_core cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -1899,7 +2019,8 @@ let start_core cfg =
         let r, w = Unix.pipe ~cloexec:true () in
         Unix.set_nonblock r;
         Unix.set_nonblock w;
-        { l_idx = i; l_wake_r = r; l_wake_w = w; l_mu = Mutex.create (); l_incoming = [] })
+        { l_idx = i; l_wake_r = r; l_wake_w = w; l_mu = Mutex.create (); l_incoming = [];
+          l_inflight = 0 })
   in
   let t =
     {
@@ -1930,6 +2051,11 @@ let start_core cfg =
       mg_skipped = Atomic.make 0;
       mg_mismatch = Atomic.make 0;
       mgr_thread = None;
+      q_mu = Mutex.create ();
+      q_cond = Condition.create ();
+      q_jobs = Queue.create ();
+      q_stop = false;
+      q_workers = None;
       f_mu = Mutex.create ();
       f_pending = 0;
       f_first = 0.;
@@ -1986,8 +2112,9 @@ let join_manager t =
 
 (* Shut the transport down: stop accepting, shut the connections' [how]
    side, join the loop domains (every connection EOFs out of its poll
-   set), then stop and join the flusher — which keeps releasing parked
-   acks for draining connections while the loops empty out. *)
+   set, and each loop waits for its queries in flight), stop and join the
+   query workers, then the flusher — which keeps releasing parked acks
+   for draining connections while the loops empty out. *)
 let drain_transport ~how t =
   Thread.join t.accept_thread;
   (try Unix.close t.lfd with Unix.Unix_error _ -> ());
@@ -2002,6 +2129,7 @@ let drain_transport ~how t =
     t.loop_handle <- None;
     Pool.Loops.join ls
   | None -> ());
+  stop_workers t;
   Mutex.lock t.f_mu;
   t.f_stop <- true;
   wake_flusher t;

@@ -9,7 +9,17 @@
       over the {!Repro_io.Io.sock} [s_select] seam. Connections are dealt
       to loops round-robin at accept; a loop reads whatever its sockets
       have, cuts frames with an incremental {!Wire.Decoder}, and executes
-      requests inline.
+      every request inline except wire queries.
+    - Wire queries ({!Protocol.Xpath}, {!Protocol.Twig}) run on query
+      worker domains: [Pool.cores ()] of them, started on the first wire
+      query, so set-up and query-free traffic run on the loop domains
+      alone. While a connection has a query in flight its loop leaves it
+      out of the poll set and decodes none of its buffered frames; the
+      worker sends the reply and hands the connection back, and the loop
+      drains the frames already buffered before polling it again. Replies
+      on one connection thus leave in request order (a parked mutation's
+      ack aside, see below). ["query/wait"] times each query's wait for
+      a worker and ["query/workers"] gauges the worker count.
     - Each document carries a {e combining lock}: a loop takes it with
       [try_lock] and, on contention, defers the job closure to the
       current holder instead of blocking — an event loop never sleeps on
@@ -35,8 +45,9 @@
     Shutdown: {!trigger} (installed on SIGINT by {!install_sigint}) flips
     the server into draining; {!stop} then stops accepting, shuts down
     each connection's receive side so readers see EOF, joins the loops
-    while the flusher keeps releasing parked acks, and finally flushes,
-    checkpoints and closes every journal. {!abort} is the torture-test
+    (each waits for its queries in flight) while the flusher keeps
+    releasing parked acks, stops and joins the query workers, and
+    finally flushes, checkpoints and closes every journal. {!abort} is the torture-test
     variant: no flush, no checkpoint, parked replies dropped — a
     simulated [kill -9] whose on-disk state must still recover to exactly
     the acknowledged prefix.

@@ -40,6 +40,20 @@ let with_client t f =
   let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port t) () in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
 
+let connect_raw t =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port t));
+  (* a reply the server never sends fails the test instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  (fd, Repro_server.Wire.reader Repro_io.Io.real_sock fd)
+
+let send_all fd data =
+  let b = Bytes.of_string data in
+  let rec go off =
+    if off < Bytes.length b then go (off + Unix.write fd b off (Bytes.length b - off))
+  in
+  go 0
+
 let ok = function
   | Ok r -> r
   | Error e -> Alcotest.fail ("transport error: " ^ e)
@@ -179,15 +193,6 @@ let typed_errors () =
    usable; a corrupted frame answers Bad_frame and hangs up. *)
 let bad_frames () =
   with_server (fun t _root ->
-      let connect_raw () =
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port t));
-        (fd, Repro_server.Wire.reader Repro_io.Io.real_sock fd)
-      in
-      let send_raw fd data =
-        let b = Bytes.of_string data in
-        ignore (Unix.write fd b 0 (Bytes.length b))
-      in
       let expect_bad_frame reader what =
         match Repro_server.Wire.recv_frame reader with
         | Repro_server.Wire.Frame payload -> (
@@ -198,10 +203,10 @@ let bad_frames () =
       in
       (* a clean frame whose payload is not a request: typed error, and
          the stream stays in sync for the next request *)
-      let fd, reader = connect_raw () in
-      send_raw fd (Repro_server.Wire.frame (P.encode_resp (P.Pong "not a request")));
+      let fd, reader = connect_raw t in
+      send_all fd (Repro_server.Wire.frame (P.encode_resp (P.Pong "not a request")));
       expect_bad_frame reader "undecodable payload";
-      send_raw fd (Repro_server.Wire.frame (P.encode_req P.Ping));
+      send_all fd (Repro_server.Wire.frame (P.encode_req P.Ping));
       (match Repro_server.Wire.recv_frame reader with
       | Repro_server.Wire.Frame payload -> (
         match P.decode_resp payload with
@@ -211,11 +216,11 @@ let bad_frames () =
       Unix.close fd;
       (* a corrupted frame (flipped CRC bit): typed error, then hang up —
          framing can no longer be trusted *)
-      let fd, reader = connect_raw () in
+      let fd, reader = connect_raw t in
       let f = Bytes.of_string (Repro_server.Wire.frame (P.encode_req P.Ping)) in
       let last = Bytes.length f - 1 in
       Bytes.set f last (Char.chr (Char.code (Bytes.get f last) lxor 1));
-      send_raw fd (Bytes.to_string f);
+      send_all fd (Bytes.to_string f);
       expect_bad_frame reader "corrupt frame";
       (match Repro_server.Wire.recv_frame reader with
       | Repro_server.Wire.Eof -> ()
@@ -682,6 +687,114 @@ let paranoid_query_soak ~legacy () =
             | None -> Alcotest.fail "query/paranoid metric missing")
           | _ -> Alcotest.fail "metrics fetch failed"))
 
+(* ---- query workers ----------------------------------------------------
+
+   Xpath and Twig requests run on worker domains; every other read stays
+   on the loop. A connection with a query in flight decodes nothing more
+   until the worker hands it back, so pipelined replies keep request
+   order, and shutdown waits for the query instead of closing under it. *)
+
+let metric t key =
+  List.find_opt
+    (fun (m : P.metric) -> m.P.m_key = key)
+    (Repro_server.Metrics.snapshot (Server.metrics t))
+
+let pipelined_replies_keep_order () =
+  with_server (fun t _root ->
+      with_client t (fun c -> ignore (open_doc c ~doc:"pipe" ~scheme:"QED" ~nodes:400));
+      (match metric t "query/workers" with
+      | Some m -> check Alcotest.int "no worker before the first query" 0 m.P.m_total_ns
+      | None -> Alcotest.fail "query/workers gauge missing");
+      let fd, reader = connect_raw t in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let batch =
+            String.concat ""
+              (List.map
+                 (fun r -> Repro_server.Wire.frame (P.encode_req r))
+                 [ P.Xpath { xq_doc = "pipe"; xq_src = "//*"; xq_limit = 5 };
+                   P.Ping;
+                   P.Twig { tq_doc = "pipe"; tq_src = "item"; tq_limit = 5 };
+                   P.Stats "pipe" ])
+          in
+          for round = 1 to 20 do
+            (* one send: the loop reads all four frames at once and must
+               hold the last three in the decoder behind the first query *)
+            send_all fd batch;
+            List.iter
+              (fun (what, want) ->
+                match Repro_server.Wire.recv_frame reader with
+                | Repro_server.Wire.Frame payload -> (
+                  match P.decode_resp payload with
+                  | Ok resp when want resp -> ()
+                  | Ok _ -> Alcotest.failf "round %d: reply %s out of order" round what
+                  | Error e -> Alcotest.failf "round %d: undecodable reply: %s" round e)
+                | _ -> Alcotest.failf "round %d: no reply for %s" round what)
+              [ ("xpath", function P.Query_r _ -> true | _ -> false);
+                ("ping", function P.Pong _ -> true | _ -> false);
+                ("twig", function P.Query_r _ -> true | _ -> false);
+                ("stats", function P.Stats_r _ -> true | _ -> false) ]
+          done);
+      match metric t "query/workers" with
+      | Some m -> check Alcotest.bool "workers started" true (m.P.m_total_ns > 0)
+      | None -> Alcotest.fail "query/workers gauge missing")
+
+(* A paranoid [//*] over a few thousand nodes re-derives every row through
+   the scan evaluator: slow enough to still be on its worker when the
+   server is told to stop. *)
+let shutdown_with_query_in_flight ~abort () =
+  let root = fresh_root () in
+  let t =
+    Server.start { (Server.default_config ~root) with fsync_every = 1; paranoid = true }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.stop t);
+      rm_rf root)
+    (fun () ->
+      with_client t (fun c -> ignore (open_doc c ~doc:"slow" ~scheme:"QED" ~nodes:4000));
+      let fd, reader = connect_raw t in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          (* the Ping waits in the decoder behind the query *)
+          send_all fd
+            (Repro_server.Wire.frame
+               (P.encode_req (P.Xpath { xq_doc = "slow"; xq_src = "//*"; xq_limit = 10 }))
+            ^ Repro_server.Wire.frame (P.encode_req P.Ping));
+          (* wait for a worker to pick the query up *)
+          let deadline = Unix.gettimeofday () +. 10. in
+          while
+            (match metric t "query/wait" with Some m -> m.P.m_count = 0 | None -> true)
+            && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.001
+          done;
+          if abort then Server.abort t else ignore (Server.stop t);
+          (match metric t "query/workers" with
+          | Some m -> check Alcotest.int "workers joined" 0 m.P.m_total_ns
+          | None -> Alcotest.fail "query/workers gauge missing");
+          (* a graceful stop answers both requests it had read; an abort
+             may cut the stream anywhere, but only with a clean close *)
+          let rec replies acc =
+            match Repro_server.Wire.recv_frame reader with
+            | Repro_server.Wire.Frame payload -> (
+              match P.decode_resp payload with
+              | Ok (P.Query_r q) when acc = [] ->
+                check Alcotest.bool "whole answer counted" true (q.P.qy_total > 1000);
+                replies ("xpath" :: acc)
+              | Ok (P.Pong _) when acc = [ "xpath" ] -> replies ("ping" :: acc)
+              | Ok _ -> Alcotest.fail "unexpected or out-of-order reply"
+              | Error e -> Alcotest.fail ("undecodable reply: " ^ e))
+            | Repro_server.Wire.Eof -> List.rev acc
+            | Repro_server.Wire.Bad e | Repro_server.Wire.Io_fail e ->
+              Alcotest.fail ("expected the replies or a clean close, got " ^ e)
+          in
+          let got = replies [] in
+          if not abort then
+            check Alcotest.(list string) "stop answers what it read" [ "xpath"; "ping" ] got))
+
 let suite =
   [
     Alcotest.test_case "happy path over loopback" `Quick happy_path;
@@ -701,4 +814,10 @@ let suite =
       (paranoid_query_soak ~legacy:false);
     Alcotest.test_case "paranoid query soak, legacy core" `Slow
       (paranoid_query_soak ~legacy:true);
+    Alcotest.test_case "pipelined replies keep request order" `Quick
+      pipelined_replies_keep_order;
+    Alcotest.test_case "stop with a query in flight" `Quick
+      (shutdown_with_query_in_flight ~abort:false);
+    Alcotest.test_case "abort with a query in flight" `Quick
+      (shutdown_with_query_in_flight ~abort:true);
   ]
