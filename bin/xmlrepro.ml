@@ -759,7 +759,9 @@ let serve_cmd =
              evaluator over the same published snapshot; a divergence is answered \
              as an Internal error instead of served. Also re-evaluate every \
              standing-query answer migration survival kept, counting \
-             contradictions in the migrate/survival_mismatch gauge.")
+             contradictions in the migrate/survival_mismatch gauge, and every \
+             cached query answer, refusing (and counting in query/cache_mismatch) \
+             one that differs.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -855,14 +857,18 @@ let loadgen_cmd =
       Out_channel.with_open_text path (fun oc ->
           output_string oc (Repro_server.Loadgen.to_json report))
     | None -> ());
-    let mismatches =
-      Option.value ~default:0
-        (List.assoc_opt "migrate/survival_mismatch" report.Repro_server.Loadgen.r_server)
+    let server_count key =
+      Option.value ~default:0 (List.assoc_opt key report.Repro_server.Loadgen.r_server)
     in
+    let mismatches = server_count "migrate/survival_mismatch" in
     if mismatches > 0 then
       Format.eprintf "loadgen: %d standing-query answer(s) kept stale by migration survival@."
         mismatches;
-    if report.Repro_server.Loadgen.r_errors > 0 || mismatches > 0 then exit 1
+    let stale_hits = server_count "query/cache_mismatch" in
+    if stale_hits > 0 then
+      Format.eprintf "loadgen: %d cached query answer(s) differed from a fresh evaluation@."
+        stale_hits;
+    if report.Repro_server.Loadgen.r_errors > 0 || mismatches > 0 || stale_hits > 0 then exit 1
   in
   let clients =
     Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client threads.")
@@ -1004,8 +1010,9 @@ let loadgen_cmd =
             "For --self-serve: the server re-verifies every served query answer \
              against the scan evaluator over the same snapshot rows, failing the \
              request on any divergence, and every standing-query answer migration \
-             survival kept against a full re-evaluation. A nonzero \
-             migrate/survival_mismatch gauge fails the run.")
+             survival kept against a full re-evaluation, and every cached query \
+             answer against a fresh one. A nonzero migrate/survival_mismatch \
+             gauge or query/cache_mismatch count fails the run.")
   in
   Cmd.v
     (Cmd.info "loadgen"

@@ -46,6 +46,13 @@ let of_index idx =
     changed_at = (fun _ -> max_int);
   }
 
+let holds src ~history ~rev names =
+  history >= 0 && src.history = history && src.revision >= rev
+  && (src.revision = rev
+     || match names with
+        | Some names -> List.for_all (fun n -> src.changed_at n <= rev) names
+        | None -> false)
+
 let root src =
   let first = ref None in
   src.scan min_int (fun pre n ->

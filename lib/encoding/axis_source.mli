@@ -56,5 +56,13 @@ val of_index : Axis_index.t -> t
 (** The batch index keeps no change history: [history] is [-1] and
     [changed_at] reads [max_int] for every name. *)
 
+val holds : t -> history:int -> rev:int -> string list option -> bool
+(** Whether an answer taken from change history [history] at revision
+    [rev] still holds at [src]: same history, [src] no older, and either
+    the same revision or a name signature (see
+    {!Xpath.name_signature}) none of whose names [src] stamps later than
+    [rev]. Exact because no primitive moves a surviving node (a move is
+    a delete plus a re-insert). Never for a source without a history. *)
+
 val root : t -> int * node
 (** The document element. *)

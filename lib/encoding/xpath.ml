@@ -532,19 +532,33 @@ and collapse_path p = { p with steps = collapse_steps p.steps }
 
 (* The names a path's answer can depend on, when its shape lets nothing
    else move it: after [collapse], name tests on child and descendant
-   steps only, each predicate itself a relative path of that kind (an
-   existence test). Such a path selects the nodes of its last name that
-   stand in fixed child/descendant relations to nodes of its other
-   names, so its answer changes only when a node carrying one of them
-   is inserted, deleted, renamed or revalued. *)
+   steps (and the descendant-or-self::node()/child::name pair a
+   positional '//name[k]' keeps), each predicate built from relative
+   paths of that kind, [count()] of them, literals, numbers,
+   [position()], [last()], comparisons, [and], [or] and [not]. Such a
+   path selects nodes of its last name that stand in fixed
+   child/descendant relations to nodes of its other names; a name-test
+   step numbers only candidates of its name, in a document order no
+   primitive changes for surviving nodes; and a comparison reads a
+   node's own value. So its answer changes only when a node carrying
+   one of the names is inserted, deleted, renamed or revalued. *)
 let name_signature (p : ast) =
   let exception Opaque in
-  let rec steps acc = List.fold_left step acc
-  and step acc s =
-    match (s.axis, s.test) with
-    | (Child | Descendant), Name n -> List.fold_left pred (n :: acc) s.predicates
+  let rec steps acc = function
+    | [] -> acc
+    | { axis = Descendant_or_self; test = Node; predicates = [] }
+      :: ({ axis = Child; test = Name _; _ } :: _ as rest) ->
+      steps acc rest
+    | { axis = Child | Descendant; test = Name n; predicates } :: rest ->
+      steps (List.fold_left expr (n :: acc) predicates) rest
     | _ -> raise Opaque
-  and pred acc = function Path q when not q.absolute -> steps acc q.steps | _ -> raise Opaque in
+  and expr acc = function
+    | (Path q | Count q) when not q.absolute -> steps acc q.steps
+    | Path _ | Count _ -> raise Opaque
+    | Compare (_, a, b) | And (a, b) | Or (a, b) -> expr (expr acc a) b
+    | Not e -> expr acc e
+    | Literal _ | Number _ | Position | Last -> acc
+  in
   match steps [] (collapse_path p).steps with
   | names -> Some (List.sort_uniq String.compare names)
   | exception Opaque -> None

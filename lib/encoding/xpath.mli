@@ -37,14 +37,19 @@ val collapse : ast -> ast
 
 val name_signature : ast -> string list option
 (** The distinct names the path's answer depends on, if its collapsed
-    form is made only of name tests on child and descendant steps whose
-    predicates are relative paths of the same kind: [Some names] promises
-    that the answer (its nodes' kinds, names and values, in document
-    order) stays the same across any mutations that insert, delete,
-    rename or revalue no node carrying one of [names], as long as no
-    surviving node moves. [None] for every other shape — wildcards,
-    [node()], attribute, sibling, parent or following axes, positional
-    or comparison predicates. *)
+    form is made only of name tests on child and descendant steps (or
+    the [descendant-or-self::node()/child::name] pair a positional
+    ['//name[k]'] keeps) whose predicates combine relative paths of the
+    same kind, [count()] of them, literals, numbers, [position()],
+    [last()], comparisons, [and], [or] and [not]. [Some names] promises
+    that the answer (its nodes' kinds, names, values and levels, in
+    document order) stays the same across any mutations that insert,
+    delete, rename or revalue no node carrying one of [names], as long
+    as no surviving node moves: a name-test step numbers only
+    candidates of its own name, and a comparison reads a node's own
+    value. [None] for every other shape — wildcards, [node()] outside
+    that pair, [.], [..], attribute, sibling, parent, ancestor or
+    following/preceding axes, absolute paths inside predicates. *)
 
 val eval : Encoding.t -> string -> Encoding.row list
 (** [eval enc path] parses and evaluates [path] with the document root as

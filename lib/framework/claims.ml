@@ -324,6 +324,16 @@ let time_s f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* Sub-millisecond calls are timed as the best of several: one call can
+   lose its core to a neighbour mid-measurement. *)
+let best_time_s f =
+  let r, t = time_s f in
+  let best = ref t in
+  for _ = 2 to 7 do
+    best := Float.min !best (snd (time_s f))
+  done;
+  (r, !best)
+
 let cl9 () =
   let doc =
     Docgen.generate ~seed { Docgen.default_shape with target_nodes = 4000; max_depth = 10 }
@@ -337,12 +347,13 @@ let cl9 () =
     time_s (fun () -> run (Repro_encoding.Xpath.eval_src (Repro_encoding.Axis_source.of_index idx)))
   in
   (* structural join vs nested loop on //item//field; both get their
-     inputs built before the clock starts *)
+     inputs built before the clock starts, and each side's best of
+     several runs *)
   let src = Repro_encoding.Axis_source.of_index idx in
   let stream name = Repro_encoding.Rank_join.of_ranks src (src.ranks name) in
   let item_s = stream "item" and field_s = stream "field" in
   let join_res, join_t =
-    time_s (fun () -> Repro_encoding.Rank_join.descendants ~ctx:item_s field_s)
+    best_time_s (fun () -> Repro_encoding.Rank_join.descendants ~ctx:item_s field_s)
   in
   let items = Repro_encoding.Axis_index.by_name idx "item" in
   let fields = Repro_encoding.Axis_index.by_name idx "field" in
@@ -350,7 +361,7 @@ let cl9 () =
     a.pre < d.pre && d.post < a.post
   in
   let nested_res, nested_t =
-    time_s (fun () ->
+    best_time_s (fun () ->
         List.filter (fun d -> List.exists (fun a -> contains a d) items) fields)
   in
   let pres l = List.map (fun (r : Repro_encoding.Encoding.row) -> r.pre) l in

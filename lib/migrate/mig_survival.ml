@@ -64,15 +64,10 @@ let pool ~seed ~count doc =
   List.init count mk
 
 (* The names whose changes can move a query's answer (see
-   [Xpath.name_signature]); a twig's answer is read from the name index
-   alone, so all its names are. *)
+   [Xpath.name_signature] and [Twig.names]). *)
 let signature = function
   | Q_xpath (_, ast) -> Xpath.name_signature ast
-  | Q_twig (_, t) ->
-    let rec names acc (t : Twig.t) =
-      List.fold_left (fun acc (_, b) -> names acc b) (t.name :: acc) t.branches
-    in
-    Some (List.sort_uniq String.compare (names [] t))
+  | Q_twig (_, t) -> Some (Twig.names t)
 
 type tracked = {
   tq : query;
@@ -101,17 +96,10 @@ type tally = { mutable evaluated : int; mutable skipped : int; mutable mismatche
 let tally () = { evaluated = 0; skipped = 0; mismatches = 0 }
 
 (* A kept answer still holds when it came from the same change history,
-   no later than [src], and none of the query's names changed since.
-   Nothing but such a change can move it: the oplog primitives never
-   move a surviving node (a move is a delete plus a re-insert), so the
-   child/descendant relations among surviving nodes, and their document
-   order, are fixed. *)
+   no later than [src], and none of the query's names changed since
+   ([Axis_source.holds]). *)
 let unchanged (src : Axis_source.t) t =
-  match t.t_names with
-  | None -> false
-  | Some names ->
-    src.history = t.t_history && src.revision >= t.t_rev
-    && List.for_all (fun n -> src.changed_at n <= t.t_rev) names
+  Axis_source.holds src ~history:t.t_history ~rev:t.t_rev t.t_names
 
 (* Bring the pool up to a fresh snapshot, re-evaluating only the queries
    whose kept answers may have moved; [check] re-evaluates the rest too

@@ -453,7 +453,8 @@ let fetch_server_gauges cfg =
                   if
                     List.mem m.P.m_key
                       [ "commit/flush"; "dedup/hit"; "shed/update"; "query/eval";
-                        "query/paranoid" ]
+                        "query/paranoid"; "query/cache_hit"; "query/cache_miss";
+                        "query/cache_mismatch" ]
                   then m.P.m_count
                   else m.P.m_total_ns )
             else None)

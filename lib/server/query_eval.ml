@@ -4,10 +4,20 @@
    snapshot+index pair the document's writer last published — never under
    the document lock, never parked behind a mutation. A malformed query
    is the client's problem (Query_error); an answer that disagrees with
-   the scan reference under [--paranoid] is the server's (Internal). *)
+   the scan reference under [--paranoid] is the server's (Internal).
+
+   Each document keeps a bounded answer cache. Served queries repeat a
+   handful of texts while mutations rarely touch the names they read, so
+   an answer taken at one revision is reused at a later one whenever
+   [Axis_source.holds]: same change history, and either the same
+   revision or a name signature none of whose names the served snapshot
+   stamps later than the answer. No primitive moves a surviving node, so
+   nothing else can change the answer's nodes, their order, values or
+   levels. *)
 
 module P = Protocol
 module Axis_inc = Repro_encoding.Axis_inc
+module Axis_source = Repro_encoding.Axis_source
 module Xpath = Repro_encoding.Xpath
 module Twig = Repro_encoding.Twig
 module Rank_join = Repro_encoding.Rank_join
@@ -19,6 +29,80 @@ exception Divergence of string
 (* Replies are bounded server-side regardless of what the client asked
    for: a query can still name the whole document, but the reply cannot. *)
 let max_rows = 10_000
+
+(* ---- the answer cache ---------------------------------------------- *)
+
+let max_cached_entries = 64
+let max_cached_rows = 16_384
+
+type entry = {
+  e_history : int;  (** the change history the answer was taken from *)
+  e_rev : int;  (** ... and the snapshot revision *)
+  e_names : string list option;  (** the query's name signature *)
+  e_total : int;
+  e_rows : P.qrow list;
+  e_nrows : int;
+  mutable e_used : int;  (** LRU tick *)
+}
+
+(* Keyed by query (kind and text) and clamped limit. One mutex, never
+   held while evaluating. *)
+type cache = {
+  c_mu : Mutex.t;
+  c_tbl : (query * int, entry) Hashtbl.t;
+  mutable c_rows : int;
+  mutable c_tick : int;
+}
+
+let cache () = { c_mu = Mutex.create (); c_tbl = Hashtbl.create 16; c_rows = 0; c_tick = 0 }
+
+let cache_size c = Mutex.protect c.c_mu (fun () -> (Hashtbl.length c.c_tbl, c.c_rows))
+
+let lookup c key (src : Axis_source.t) =
+  Mutex.protect c.c_mu (fun () ->
+      match Hashtbl.find_opt c.c_tbl key with
+      | Some e when Axis_source.holds src ~history:e.e_history ~rev:e.e_rev e.e_names ->
+        c.c_tick <- c.c_tick + 1;
+        e.e_used <- c.c_tick;
+        Some e
+      | _ -> None)
+
+let drop c key e =
+  Hashtbl.remove c.c_tbl key;
+  c.c_rows <- c.c_rows - e.e_nrows
+
+(* Keep [e] unless the entry under [key] is from a later history or
+   revision: workers serve older snapshots concurrently, and an older
+   answer must not push out a newer one. Least recently used entries
+   make room. Returns the rows held afterwards. *)
+let store c key e =
+  Mutex.protect c.c_mu (fun () ->
+      let newer =
+        match Hashtbl.find_opt c.c_tbl key with
+        | None -> true
+        | Some old -> compare (e.e_history, e.e_rev) (old.e_history, old.e_rev) > 0
+      in
+      if newer && e.e_nrows <= max_cached_rows then begin
+        Option.iter (drop c key) (Hashtbl.find_opt c.c_tbl key);
+        while
+          Hashtbl.length c.c_tbl >= max_cached_entries
+          || c.c_rows + e.e_nrows > max_cached_rows
+        do
+          let oldest k v = function
+            | Some (_, o) as acc when o.e_used <= v.e_used -> acc
+            | _ -> Some (k, v)
+          in
+          let k, v = Option.get (Hashtbl.fold oldest c.c_tbl None) in
+          drop c k v
+        done;
+        c.c_tick <- c.c_tick + 1;
+        e.e_used <- c.c_tick;
+        Hashtbl.replace c.c_tbl key e;
+        c.c_rows <- c.c_rows + e.e_nrows
+      end;
+      c.c_rows)
+
+(* ---- evaluation ---------------------------------------------------- *)
 
 let qrow_of (r : Repro_encoding.Encoding.row) =
   {
@@ -34,7 +118,6 @@ let qrow_of (r : Repro_encoding.Encoding.row) =
 (* The answer is counted from its stream; rows are built only for the
    entries the reply carries. *)
 let reply snap ~limit answer =
-  let limit = max 0 (min limit max_rows) in
   P.Query_r
     {
       qy_total = Rank_join.length answer;
@@ -52,20 +135,21 @@ let cross_check snap what src answer scan =
          (Printf.sprintf "%s %S at revision %d: served %d rows, scan %d" what src (Axis_inc.rev snap)
             (List.length rows) (List.length scan)))
 
+(* The reply, and the query's name signature when it parsed. *)
 let eval_xpath ~paranoid snap src ~limit =
   match Xpath.parse src with
   | exception Xpath.Parse_error { Xpath.position; message } ->
-    P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }
+    (P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }, None)
   | ast ->
     let answer = Xpath.select_src (Axis_inc.source snap) ast in
     if paranoid then
       cross_check snap "xpath" src answer (Xpath.eval_scan_rows (Axis_inc.rows snap) ast);
-    reply snap ~limit answer
+    (reply snap ~limit answer, Xpath.name_signature ast)
 
 let eval_twig ~paranoid snap src ~limit =
   match Twig.parse src with
   | exception Twig.Parse_error { Twig.position; message } ->
-    P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }
+    (P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }, None)
   | t ->
     let answer = Twig.select_src (Axis_inc.source snap) t in
     (* an independent route: the pattern's navigational XPath
@@ -73,23 +157,73 @@ let eval_twig ~paranoid snap src ~limit =
     if paranoid then
       cross_check snap "twig" src answer
         (Xpath.eval_scan_rows (Axis_inc.rows snap) (Xpath.parse (Twig.matches_xpath_equivalent t)));
-    reply snap ~limit answer
+    (reply snap ~limit answer, Some (Twig.names t))
 
-let serve metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap query ~limit =
+let evaluate ~paranoid snap query ~limit =
+  match query with
+  | Q_xpath src -> eval_xpath ~paranoid snap src ~limit
+  | Q_twig src -> eval_twig ~paranoid snap src ~limit
+
+let text = function Q_xpath s | Q_twig s -> s
+
+(* A hit under [paranoid] is evaluated afresh (and that answer checked
+   against the scan route); a cached reply that differs is refused. *)
+let serve_hit metrics ~paranoid snap query ~limit e =
+  let resp = P.Query_r { qy_total = e.e_total; qy_rev = Axis_inc.rev snap; qy_rows = e.e_rows } in
+  if paranoid && fst (evaluate ~paranoid snap query ~limit) <> resp then begin
+    Metrics.record metrics ~key:"query/cache_mismatch" ~ok:false ~ns:0;
+    P.Err
+      ( P.Internal,
+        Printf.sprintf "answer cache mismatch: %S at revision %d (cached at %d)" (text query)
+          (Axis_inc.rev snap) e.e_rev )
+  end
+  else resp
+
+let serve_miss metrics ~paranoid snap cache query ~limit =
+  let resp, names = evaluate ~paranoid snap query ~limit in
+  (match (cache, resp) with
+  | Some c, P.Query_r { qy_total; qy_rows; _ } ->
+    let src = Axis_inc.source snap in
+    let rows =
+      store c (query, limit)
+        {
+          e_history = src.Axis_source.history;
+          e_rev = src.revision;
+          e_names = names;
+          e_total = qy_total;
+          e_rows = qy_rows;
+          e_nrows = List.length qy_rows;
+          e_used = 0;
+        }
+    in
+    Metrics.gauge metrics ~key:"query/cache_rows" ~value:rows
+  | _ -> ());
+  resp
+
+let serve metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ?cache query ~limit =
   let wall0 = Unix.gettimeofday () in
   let t0 = Metrics.monotonic_ns () in
+  let limit = max 0 (min limit max_rows) in
+  let hit =
+    match cache with Some c -> lookup c (query, limit) (Axis_inc.source snap) | None -> None
+  in
   let resp =
     try
-      match query with
-      | Q_xpath src -> eval_xpath ~paranoid snap src ~limit
-      | Q_twig src -> eval_twig ~paranoid snap src ~limit
+      match hit with
+      | Some e -> serve_hit metrics ~paranoid snap query ~limit e
+      | None -> serve_miss metrics ~paranoid snap cache query ~limit
     with Divergence msg ->
       Metrics.record metrics ~key:"query/paranoid" ~ok:false ~ns:0;
       P.Err (P.Internal, "paranoid divergence: " ^ msg)
   in
   let ns = Int64.to_int (Int64.sub (Metrics.monotonic_ns ()) t0) in
   let ok = match resp with P.Query_r _ -> true | _ -> false in
-  Metrics.record metrics ~key:"query/eval" ~ok ~ns;
+  (* [query/eval] counts only answers that were evaluated to be served *)
+  (match hit with
+  | Some _ -> Metrics.record metrics ~key:"query/cache_hit" ~ok ~ns
+  | None ->
+    if Option.is_some cache then Metrics.record metrics ~key:"query/cache_miss" ~ok ~ns:0;
+    Metrics.record metrics ~key:"query/eval" ~ok ~ns);
   (match resp with
   | P.Query_r _ when paranoid -> Metrics.record metrics ~key:"query/paranoid" ~ok:true ~ns:0
   | _ -> ());

@@ -6,12 +6,39 @@
     document's write path: no lock, no parking, no rebuild. Under
     [paranoid] every answer is re-derived through the scan reference
     evaluator over the same snapshot rows and any divergence is answered
-    as {!Protocol.err.Internal} instead of served. *)
+    as {!Protocol.err.Internal} instead of served.
+
+    {b Answer cache.} Each document can keep a bounded {!cache} of
+    replies, keyed by query kind, text and clamped limit. An entry holds
+    the change history and snapshot revision its answer was taken at,
+    the query's name signature ({!Repro_encoding.Xpath.name_signature},
+    or {!Repro_encoding.Twig.names}) and the reply's total and rows. It
+    answers a later request when {!Repro_encoding.Axis_source.holds}:
+    same history, the served snapshot no older, and either the same
+    revision or no name of the signature stamped since. That is exact:
+    no primitive moves a surviving node, so only an insert, delete,
+    rename or revalue of a node carrying one of those names can change
+    the answer's nodes, order, values or levels — and each stamps the
+    name. A hit replies with the served snapshot's revision. *)
 
 type query = Q_xpath of string | Q_twig of string
 
 val max_rows : int
 (** Server-side cap on rows per reply, whatever the client's limit. *)
+
+type cache
+
+val cache : unit -> cache
+(** An empty per-document answer cache. Thread-safe: one mutex, never
+    held while a query is evaluated. *)
+
+val max_cached_entries : int
+val max_cached_rows : int
+(** The cache's fixed bounds: entries, and reply rows summed over
+    entries. Least recently used entries make room. *)
+
+val cache_size : cache -> int * int
+(** Entries and rows held. *)
 
 val serve :
   Metrics.t ->
@@ -20,12 +47,20 @@ val serve :
   inc:Repro_encoding.Axis_inc.t ->
   pub_time:float ->
   snap:Repro_encoding.Axis_inc.snap ->
+  ?cache:cache ->
   query ->
   limit:int ->
   Protocol.resp
-(** Evaluate, cross-check when [paranoid], and account under the
-    ["query/"] metric keys: [query/eval] (count + latency),
-    [query/paranoid], [query/rev_lag] (document revisions published after
-    [snap]), [query/pub_age_us] (snapshot age at serve time, against
-    [pub_time]), [query/maint_ops] and [query/maint_ns_per_op] (the
-    incremental index's maintenance bill). *)
+(** Answer from [cache] when an entry holds at [snap], else evaluate
+    (storing the answer unless the cache has one from a later
+    revision). Cross-check when [paranoid] — a hit is evaluated afresh
+    too, and a cached reply that differs is answered as
+    {!Protocol.err.Internal}. Accounts under the ["query/"] metric keys:
+    [query/eval] (evaluations that served, count + latency),
+    [query/cache_hit] (count + latency), [query/cache_miss],
+    [query/cache_mismatch], [query/cache_rows] (rows held by the cache
+    stored into last), [query/paranoid], [query/rev_lag] (document
+    revisions published after [snap]), [query/pub_age_us] (snapshot age
+    at serve time, against [pub_time]), [query/maint_ops] and
+    [query/maint_ns_per_op] (the incremental index's maintenance
+    bill). *)

@@ -98,7 +98,12 @@ let ns_since t0 =
    ([c_parked]/[c_draining]/[c_closed]) lives under the flusher mutex: a
    connection that reaches EOF with replies still parked is handed to the
    flusher, which closes it after the last release — an ack, once owed,
-   is always sent before the socket dies. *)
+   is always sent before the socket dies.
+
+   Replies leave in request order. Each decoded frame takes the next
+   reply slot; a reply ready before its turn (an inline read behind a
+   parked ack, a worker's answer behind a deferred mutation) is held
+   under [c_send_mu] and written once every earlier slot has been. *)
 
 type conn = {
   c_fd : Unix.file_descr;
@@ -113,6 +118,9 @@ type conn = {
       (** EOF seen, close after the last release; under [f_mu] *)
   mutable c_closed : bool;  (** fd closed; under [f_mu] *)
   mutable c_last : float;  (** loop-private: last activity, for idle drop *)
+  mutable c_next : int;  (** loop-private: the next decoded frame's reply slot *)
+  mutable c_sent : int;  (** the next slot to write; under [c_send_mu] *)
+  c_held : (int, P.resp) Hashtbl.t;  (** replies ahead of their turn; under [c_send_mu] *)
 }
 
 (* ---- published snapshots ------------------------------------------- *)
@@ -132,6 +140,7 @@ type role = Primary | Follower
 
 type parked = {
   pk_conn : conn;
+  pk_slot : int;
   pk_resp : P.resp;
   pk_pos : Journal.position;
   pk_bytes : int;  (** encoded reply size, for the per-connection shed bound *)
@@ -168,6 +177,7 @@ type doc = {
   d_inc : Axis_inc.t;
       (** fed by the document's {!Tree} observer under [d_mu]; snapshotted
           into [d_pub] on every publish *)
+  d_qcache : Query_eval.cache;  (** wire-query answers, reused across revisions *)
   mutable d_resolver : Journal.Resolver.t;
   d_pub : published Atomic.t;
   d_role : role Atomic.t;
@@ -183,7 +193,7 @@ type doc = {
   mutable d_closed : bool;  (** under [d_mu] *)
   (* flusher-owned state, under [f_mu] *)
   d_parked : parked Queue.t;
-  mutable d_ckpt_waiters : conn list;
+  mutable d_ckpt_waiters : (conn * int) list;  (** with each request's reply slot *)
   mutable d_enrolled : bool;
 }
 
@@ -432,6 +442,7 @@ type loop_state = {
 (* One Xpath/Twig request handed from a loop to a query worker. *)
 type query_job = {
   qj_conn : conn;
+  qj_slot : int;
   qj_loop : loop_state;  (** where the connection goes back to *)
   qj_req : P.req;
   qj_t0 : float;  (** wall clock at frame decode: [req/<class>] spans the wait *)
@@ -524,15 +535,34 @@ let journal_fsync_every cfg = if cfg.fsync_every <= 0 then max_int else cfg.fsyn
 
 (* ---- sending -------------------------------------------------------- *)
 
-let send_resp t conn resp =
-  Mutex.lock conn.c_send_mu;
-  (if conn.c_alive then
-     match Wire.send_frame t.cfg.sock conn.c_fd (P.encode_resp resp) with
-     | () -> ()
-     | exception Io.Io_error { reason; _ } ->
-       conn.c_alive <- false;
-       t.cfg.log ("conn send: " ^ reason));
-  Mutex.unlock conn.c_send_mu
+(* Send the reply for [slot], or hold it until every earlier slot's reply
+   has gone. A slot's first reply is the one that counts. *)
+let send_resp t conn slot resp =
+  let write resp =
+    if conn.c_alive then
+      match Wire.send_frame t.cfg.sock conn.c_fd (P.encode_resp resp) with
+      | () -> ()
+      | exception Io.Io_error { reason; _ } ->
+        conn.c_alive <- false;
+        t.cfg.log ("conn send: " ^ reason)
+  in
+  let rec drain () =
+    match Hashtbl.find_opt conn.c_held conn.c_sent with
+    | Some resp ->
+      Hashtbl.remove conn.c_held conn.c_sent;
+      write resp;
+      conn.c_sent <- conn.c_sent + 1;
+      drain ()
+    | None -> ()
+  in
+  Mutex.protect conn.c_send_mu (fun () ->
+      if slot < conn.c_sent || Hashtbl.mem conn.c_held slot then ()
+      else if slot > conn.c_sent then Hashtbl.replace conn.c_held slot resp
+      else begin
+        write resp;
+        conn.c_sent <- slot + 1;
+        drain ()
+      end)
 
 let record t ?doc cls ~ok ~ns =
   Metrics.record t.metrics ~key:("req/" ^ cls) ~ok ~ns;
@@ -541,10 +571,10 @@ let record t ?doc cls ~ok ~ns =
   | None -> ()
 
 (* record the request's metrics and send its reply *)
-let respond t conn ?doc cls t0 resp =
+let respond t conn slot ?doc cls t0 resp =
   let ok = match resp with P.Err _ -> false | _ -> true in
   record t ?doc cls ~ok ~ns:(ns_since t0);
-  send_resp t conn resp
+  send_resp t conn slot resp
 
 (* ---- connection accounting ------------------------------------------ *)
 
@@ -626,11 +656,13 @@ let enroll t d =
    position defaults to the journal's current end, i.e. just past this
    request's own appends — a dedup retry parks at the original batch's
    stored position instead. *)
-let park ?pos t d conn resp =
+let park ?pos t d conn slot resp =
   let pos = match pos with Some p -> p | None -> Journal.position (journal_of d) in
   let bytes = String.length (P.encode_resp resp) in
   Mutex.lock t.f_mu;
-  Queue.push { pk_conn = conn; pk_resp = resp; pk_pos = pos; pk_bytes = bytes } d.d_parked;
+  Queue.push
+    { pk_conn = conn; pk_slot = slot; pk_resp = resp; pk_pos = pos; pk_bytes = bytes }
+    d.d_parked;
   conn.c_parked <- conn.c_parked + 1;
   conn.c_inflight <- conn.c_inflight + bytes;
   if t.f_pending = 0 then t.f_first <- Unix.gettimeofday ();
@@ -639,17 +671,17 @@ let park ?pos t d conn resp =
   wake_flusher t;
   Mutex.unlock t.f_mu
 
-let park_ckpt t d conn =
+let park_ckpt t d conn slot =
   Mutex.lock t.f_mu;
-  d.d_ckpt_waiters <- conn :: d.d_ckpt_waiters;
+  d.d_ckpt_waiters <- (conn, slot) :: d.d_ckpt_waiters;
   conn.c_parked <- conn.c_parked + 1;
   enroll t d;
   wake_flusher t;
   Mutex.unlock t.f_mu
 
 (* send a released reply, closing a draining connection after its last one *)
-let deliver t conn resp =
-  send_resp t conn resp;
+let deliver t conn slot resp =
+  send_resp t conn slot resp;
   Mutex.lock t.f_mu;
   conn.c_parked <- conn.c_parked - 1;
   let close_now = conn.c_draining && conn.c_parked = 0 && not conn.c_closed in
@@ -777,6 +809,7 @@ let register_doc t name ~durable ~role ~ship =
       d_view = view;
       d_pack = pack;
       d_inc = inc;
+      d_qcache = Query_eval.cache ();
       d_resolver = Journal.Resolver.create view;
       d_pub = Atomic.make (publish_of view pack durable inc);
       d_role = Atomic.make role;
@@ -907,7 +940,7 @@ let serve_wire_query t doc query limit =
     let pub = Atomic.get d.d_pub in
     Query_eval.serve t.metrics ~paranoid:t.cfg.paranoid
       ~doc_rev:(Tree.revision d.d_view.Core.Session.doc)
-      ~inc:d.d_inc ~pub_time:pub.p_qtime ~snap:pub.p_qsnap query ~limit
+      ~inc:d.d_inc ~pub_time:pub.p_qtime ~snap:pub.p_qsnap ~cache:d.d_qcache query ~limit
 
 (* Lag of one acknowledged position against the published durable offset:
    same epoch, the plain byte gap; a past epoch, the whole current log
@@ -952,7 +985,7 @@ let shed_reason t conn =
                conn.c_inflight t.cfg.shed_conn_bytes)
         else None)
 
-let shed t conn d ~cls t0 =
+let shed t conn slot d ~cls t0 =
   match shed_reason t conn with
   | None -> false
   | Some why ->
@@ -961,22 +994,22 @@ let shed t conn d ~cls t0 =
       ~value:(Mutex.protect t.f_mu (fun () -> t.f_pending));
     Metrics.gauge t.metrics ~key:"shed/conn_bytes"
       ~value:(Mutex.protect t.f_mu (fun () -> conn.c_inflight));
-    respond t conn ~doc:d.d_name cls t0 (P.Err (P.Overloaded, why));
+    respond t conn slot ~doc:d.d_name cls t0 (P.Err (P.Overloaded, why));
     true
 
 (* The mutation path — updates and migration batches share it verbatim:
    validate + apply + journal-append under the doc lock, then either
    acknowledge immediately (the batch is already inside the durable
-   prefix and nothing is queued ahead of it) or park the reply for the
-   flusher. Error replies to partially applied batches are parked too:
+   prefix; its reply slot keeps it behind the connection's earlier
+   replies) or park the reply for the flusher. Error replies to partially applied batches are parked too:
    they confirm a journaled prefix. [exec] runs the batch and returns the
    reply; [nreq] is the batch length, the fallback applied count when
    [exec] errors out. *)
-let job_mutation t conn d ~cls ~client ~seq ~nreq exec t0 =
+let job_mutation t conn slot d ~cls ~client ~seq ~nreq exec t0 =
   if d.d_closed then
-    respond t conn ~doc:d.d_name cls t0 (P.Err (P.Shutting_down, "document is closing"))
+    respond t conn slot ~doc:d.d_name cls t0 (P.Err (P.Shutting_down, "document is closing"))
   else if Atomic.get d.d_role = Follower then
-    respond t conn ~doc:d.d_name cls t0
+    respond t conn slot ~doc:d.d_name cls t0
       (P.Err (P.Not_primary, d.d_name ^ " is a follower here"))
   else begin
     let j = journal_of d in
@@ -991,19 +1024,16 @@ let job_mutation t conn d ~cls ~client ~seq ~nreq exec t0 =
       let resp = flag_dedup e.de_resp in
       let ok = match resp with P.Err _ -> false | _ -> true in
       record t ~doc:d.d_name cls ~ok ~ns:(ns_since t0);
-      let durable = Journal.durable_position j in
-      let clear =
-        Journal.covers ~durable e.de_pos
-        && Mutex.protect t.f_mu (fun () -> Queue.is_empty d.d_parked)
-      in
-      if clear then send_resp t conn resp else park ~pos:e.de_pos t d conn resp
+      if Journal.covers ~durable:(Journal.durable_position j) e.de_pos then
+        send_resp t conn slot resp
+      else park ~pos:e.de_pos t d conn slot resp
     | Some e when dedup && seq < e.de_seq ->
-      respond t conn ~doc:d.d_name cls t0
+      respond t conn slot ~doc:d.d_name cls t0
         (P.Err
            ( P.Bad_request,
              Printf.sprintf "stale sequence %d for client %S (last %d)" seq client
                e.de_seq ))
-    | _ when shed t conn d ~cls t0 -> ()
+    | _ when shed t conn slot d ~cls t0 -> ()
     | _ ->
       let appended0 = Journal.appended j in
       let resp =
@@ -1041,17 +1071,13 @@ let job_mutation t conn d ~cls ~client ~seq ~nreq exec t0 =
       publish d;
       let ok = match resp with P.Err _ -> false | _ -> true in
       record t ~doc:d.d_name cls ~ok ~ns:(ns_since t0);
-      (if delta = 0 then send_resp t conn resp
+      (if delta = 0 then send_resp t conn slot resp
        else begin
-         let durable = Journal.durable_position j in
-         let pos = Journal.position j in
-         (* even a durable batch must park behind earlier parked replies of
-            the same connection, or pipelined acks would reorder *)
-         let clear =
-           Journal.covers ~durable pos
-           && Mutex.protect t.f_mu (fun () -> Queue.is_empty d.d_parked)
-         in
-         if clear then send_resp t conn resp else park t d conn resp
+         (* a durable batch behind a parked reply of the same connection
+            is held by its reply slot, not parked *)
+         if Journal.covers ~durable:(Journal.durable_position j) (Journal.position j) then
+           send_resp t conn slot resp
+         else park t d conn slot resp
        end);
       if auto_ckpt_due t d then
         Mutex.protect t.f_mu (fun () ->
@@ -1059,8 +1085,8 @@ let job_mutation t conn d ~cls ~client ~seq ~nreq exec t0 =
             wake_flusher t)
   end
 
-let job_update t conn d ~client ~seq ops t0 =
-  job_mutation t conn d ~cls:"update" ~client ~seq ~nreq:(List.length ops)
+let job_update t conn slot d ~client ~seq ops t0 =
+  job_mutation t conn slot d ~cls:"update" ~client ~seq ~nreq:(List.length ops)
     (fun () -> exec_update t.cfg d ops)
     t0
 
@@ -1184,8 +1210,8 @@ let exec_migrate t d specs =
   | Some msg -> P.Err (P.Bad_request, msg)
   | None -> exec_migrate_checked t d specs
 
-let job_migrate t conn d ~client ~seq specs t0 =
-  job_mutation t conn d ~cls:"migrate" ~client ~seq ~nreq:(List.length specs)
+let job_migrate t conn slot d ~client ~seq specs t0 =
+  job_mutation t conn slot d ~cls:"migrate" ~client ~seq ~nreq:(List.length specs)
     (fun () -> exec_migrate t d specs)
     t0
 
@@ -1194,18 +1220,18 @@ let job_migrate t conn d ~client ~seq specs t0 =
    epoch — the flusher's auto-checkpoint ([checkpoint_every]) still
    bounds log growth. Past the threshold the requester parks until the
    flusher has really absorbed the log into a snapshot. *)
-let job_checkpoint t conn d t0 =
+let job_checkpoint t conn slot d t0 =
   if d.d_closed then
-    respond t conn ~doc:d.d_name "checkpoint" t0
+    respond t conn slot ~doc:d.d_name "checkpoint" t0
       (P.Err (P.Shutting_down, "document is closing"))
   else begin
     record t ~doc:d.d_name "checkpoint" ~ok:true ~ns:(ns_since t0);
     if d.d_records < t.cfg.checkpoint_min_records then
-      send_resp t conn (P.Checkpointed (Journal.epoch (journal_of d)))
-    else park_ckpt t d conn
+      send_resp t conn slot (P.Checkpointed (Journal.epoch (journal_of d)))
+    else park_ckpt t d conn slot
   end
 
-let dispatch_doc t conn d req t0 =
+let dispatch_doc t conn slot d req t0 =
   let direct cls job =
     run_or_defer d (fun () ->
         let resp =
@@ -1217,15 +1243,24 @@ let dispatch_doc t conn d req t0 =
             | e -> P.Err (P.Internal, Printexc.to_string e)
         in
         publish d;
-        respond t conn ~doc:d.d_name cls t0 resp)
+        respond t conn slot ~doc:d.d_name cls t0 resp)
+  in
+  (* a job that raises before replying still fills its slot, or the
+     connection's later replies would wait for it *)
+  let guarded cls job =
+    run_or_defer d (fun () ->
+        try job ()
+        with e ->
+          respond t conn slot ~doc:d.d_name cls t0 (P.Err (P.Internal, Printexc.to_string e)))
   in
   match req with
   | P.Update { u_client; u_seq; u_ops; _ } ->
-    run_or_defer d (fun () -> job_update t conn d ~client:u_client ~seq:u_seq u_ops t0)
+    guarded "update" (fun () -> job_update t conn slot d ~client:u_client ~seq:u_seq u_ops t0)
   | P.Migrate { mg_client; mg_seq; mg_specs; _ } ->
-    run_or_defer d (fun () -> job_migrate t conn d ~client:mg_client ~seq:mg_seq mg_specs t0)
+    guarded "migrate" (fun () ->
+        job_migrate t conn slot d ~client:mg_client ~seq:mg_seq mg_specs t0)
   | P.Labels { lb_limit; _ } -> direct "labels" (fun () -> exec_labels d lb_limit)
-  | P.Checkpoint _ -> run_or_defer d (fun () -> job_checkpoint t conn d t0)
+  | P.Checkpoint _ -> guarded "checkpoint" (fun () -> job_checkpoint t conn slot d t0)
   | P.Subscribe { sb_replica; _ } ->
     direct "subscribe" (fun () ->
         match exec_subscribe d with
@@ -1289,14 +1324,14 @@ let dispatch_inline t req =
 
 (* Answer a request that needs no document lock and send the reply: the
    inline reads on the loop, Xpath/Twig on a query worker. *)
-let answer t conn req t0 =
+let answer t conn slot req t0 =
   let resp =
     try dispatch_inline t req with
     | Reject (e, msg) -> P.Err (e, msg)
     | Io.Io_error { op; reason; _ } -> P.Err (P.Internal, op ^ ": " ^ reason)
     | e -> P.Err (P.Internal, Printexc.to_string e)
   in
-  respond t conn ?doc:(doc_of_req req) (P.req_class req) t0 resp
+  respond t conn slot ?doc:(doc_of_req req) (P.req_class req) t0 resp
 
 (* ---- query workers --------------------------------------------------
 
@@ -1327,7 +1362,7 @@ let rec query_worker t =
     Metrics.record t.metrics ~key:"query/wait" ~ok:true
       ~ns:(Int64.to_int (Int64.sub (Metrics.monotonic_ns ()) j.qj_queued));
     (* whatever happens, the connection goes back: its loop waits for it *)
-    (try answer t j.qj_conn j.qj_req j.qj_t0
+    (try answer t j.qj_conn j.qj_slot j.qj_req j.qj_t0
      with e -> t.cfg.log ("query worker: " ^ Printexc.to_string e));
     let ls = j.qj_loop in
     Mutex.lock ls.l_mu;
@@ -1337,7 +1372,7 @@ let rec query_worker t =
     wake_loop ls;
     query_worker t
 
-let submit_query t ls conn req t0 =
+let submit_query t ls conn slot req t0 =
   Mutex.protect ls.l_mu (fun () -> ls.l_inflight <- ls.l_inflight + 1);
   Mutex.lock t.q_mu;
   if Option.is_none t.q_workers then begin
@@ -1346,7 +1381,7 @@ let submit_query t ls conn req t0 =
     Metrics.gauge t.metrics ~key:"query/workers" ~value:n
   end;
   Queue.push
-    { qj_conn = conn; qj_loop = ls; qj_req = req; qj_t0 = t0;
+    { qj_conn = conn; qj_slot = slot; qj_loop = ls; qj_req = req; qj_t0 = t0;
       qj_queued = Metrics.monotonic_ns () }
     t.q_jobs;
   Condition.signal t.q_cond;
@@ -1370,27 +1405,29 @@ let stop_workers t =
 (* Handle one decoded frame; [true] when it went to a query worker. *)
 let handle_frame t ls conn payload =
   let t0 = Unix.gettimeofday () in
+  let slot = conn.c_next in
+  conn.c_next <- slot + 1;
   match P.decode_req payload with
   | Error reason ->
     (* frame boundary held, only the payload is bad — the stream is still
        in sync, so reply and keep going *)
     record t "bad-frame" ~ok:false ~ns:(ns_since t0);
-    send_resp t conn (P.Err (P.Bad_frame, reason));
+    send_resp t conn slot (P.Err (P.Bad_frame, reason));
     false
   | Ok req -> (
     match req with
     | P.Xpath _ | P.Twig _ ->
-      submit_query t ls conn req t0;
+      submit_query t ls conn slot req t0;
       true
     | P.Ping | P.Metrics | P.Open _ | P.Query _ | P.Stats _ | P.Ack _ | P.Docs ->
-      answer t conn req t0;
+      answer t conn slot req t0;
       false
     | P.Update _ | P.Migrate _ | P.Labels _ | P.Checkpoint _ | P.Subscribe _ | P.Replicate _
     | P.Promote _ ->
       let doc = Option.get (doc_of_req req) in
       (match find_doc t doc with
-      | None -> respond t conn ~doc (P.req_class req) t0 (P.Err (P.Unknown_doc, doc))
-      | Some d -> dispatch_doc t conn d req t0);
+      | None -> respond t conn slot ~doc (P.req_class req) t0 (P.Err (P.Unknown_doc, doc))
+      | Some d -> dispatch_doc t conn slot d req t0);
       false)
 
 (* ---- the event loop ------------------------------------------------- *)
@@ -1411,7 +1448,9 @@ let rec pump t ls conn =
     (* a torn frame means the stream is out of sync: answer once so
        the client learns why, then hang up *)
     record t "bad-frame" ~ok:false ~ns:0;
-    send_resp t conn (P.Err (P.Bad_frame, reason));
+    let slot = conn.c_next in
+    conn.c_next <- slot + 1;
+    send_resp t conn slot (P.Err (P.Bad_frame, reason));
     Drop
   | `Frame payload -> (
     match handle_frame t ls conn payload with
@@ -1560,7 +1599,7 @@ let release_covered t d =
   t.f_pending <- t.f_pending - List.length released;
   if t.f_pending > 0 then t.f_first <- Unix.gettimeofday ();
   Mutex.unlock t.f_mu;
-  List.iter (fun pk -> deliver t pk.pk_conn pk.pk_resp) released;
+  List.iter (fun pk -> deliver t pk.pk_conn pk.pk_slot pk.pk_resp) released;
   List.length released
 
 (* Coalesced checkpoint of one document, under the doc lock (deferred
@@ -1576,7 +1615,7 @@ let checkpoint_doc t d =
       in
       if d.d_closed then
         List.iter
-          (fun conn -> deliver t conn (P.Err (P.Shutting_down, "document is closing")))
+          (fun (conn, slot) -> deliver t conn slot (P.Err (P.Shutting_down, "document is closing")))
           waiters
       else begin
         let due = waiters <> [] || auto_ckpt_due t d in
@@ -1597,7 +1636,7 @@ let checkpoint_doc t d =
             | exception Io.Io_error { op; reason; _ } ->
               P.Err (P.Internal, op ^ ": " ^ reason)
         in
-        List.iter (fun conn -> deliver t conn resp) waiters;
+        List.iter (fun (conn, slot) -> deliver t conn slot resp) waiters;
         (* the epoch advance covers everything parked before it *)
         if due then ignore (release_covered t d)
       end)
@@ -1970,6 +2009,9 @@ let accept_loop t =
                      c_draining = false;
                      c_closed = false;
                      c_last = Unix.gettimeofday ();
+                     c_next = 0;
+                     c_sent = 0;
+                     c_held = Hashtbl.create 4;
                    }
                  in
                  conn_register t conn;
@@ -2160,12 +2202,12 @@ let close_docs_graceful t =
       Mutex.unlock t.f_mu;
       List.iter
         (fun pk ->
-          deliver t pk.pk_conn (P.Err (P.Shutting_down, "server stopped before fsync")))
+          deliver t pk.pk_conn pk.pk_slot (P.Err (P.Shutting_down, "server stopped before fsync")))
         orphans;
       d.d_closed <- true;
       (try Durable_session.checkpoint d.d_durable with Io.Io_error _ -> ());
       List.iter
-        (fun conn -> deliver t conn (P.Checkpointed (Journal.epoch (journal_of d))))
+        (fun (conn, slot) -> deliver t conn slot (P.Checkpointed (Journal.epoch (journal_of d))))
         waiters;
       try Durable_session.close d.d_durable with Io.Io_error _ -> ())
     t.docs

@@ -17,8 +17,10 @@
       out of the poll set and decodes none of its buffered frames; the
       worker sends the reply and hands the connection back, and the loop
       drains the frames already buffered before polling it again. Replies
-      on one connection thus leave in request order (a parked mutation's
-      ack aside, see below). ["query/wait"] times each query's wait for
+      on one connection leave in request order: each decoded frame takes
+      a reply slot, and a reply ready before an earlier slot's (a Ping
+      behind a parked ack, a query behind a deferred mutation) is held
+      until that one has gone. ["query/wait"] times each query's wait for
       a worker and ["query/workers"] gauges the worker count.
     - Each document carries a {e combining lock}: a loop takes it with
       [try_lock] and, on contention, defers the job closure to the

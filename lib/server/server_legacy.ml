@@ -167,6 +167,7 @@ type actor = {
   a_inc : Axis_inc.t;
       (** fed by the document's {!Tree} observer on the actor thread;
           snapshotted into [a_pub] after every job *)
+  a_qcache : Query_eval.cache;  (** wire-query answers, reused across revisions *)
   mutable a_resolver : Journal.Resolver.t;
   a_dedup : (string, dedup_entry) Hashtbl.t;
       (** client -> watermark; only the actor thread touches it *)
@@ -810,6 +811,7 @@ let spawn_actor t name ~durable ~role ~ship ~rebuild =
       a_view = view;
       a_pack = pack;
       a_inc = inc;
+      a_qcache = Query_eval.cache ();
       a_resolver = Journal.Resolver.create view;
       a_dedup = Hashtbl.create 16;
       a_dedup_tick = 0;
@@ -965,7 +967,7 @@ let dispatch t req =
       let pub = Atomic.get a.a_pub in
       Query_eval.serve t.metrics ~paranoid:t.cfg.paranoid
         ~doc_rev:(Tree.revision a.a_view.Core.Session.doc)
-        ~inc:a.a_inc ~pub_time:pub.p_qtime ~snap:pub.p_qsnap query ~limit
+        ~inc:a.a_inc ~pub_time:pub.p_qtime ~snap:pub.p_qsnap ~cache:a.a_qcache query ~limit
   in
   match req with
   | P.Ping -> P.Pong P.magic

@@ -109,31 +109,41 @@ type stored_node = {
   s_label_bytes : string;
 }
 
+(* The node count is untrusted: nodes are read one at a time until it or
+   the data runs out, so a damaged count costs a truncation error, never
+   an allocation of its size. *)
 let read_nodes c =
   c.section <- "node count";
   let count = r32 c in
-  Array.init count (fun _ ->
-      c.section <- "node header";
-      let s_kind = match r8 c with 0 -> Tree.Element | 1 -> Tree.Attribute | k -> corrupt "bad node kind %d" k in
-      let s_parent = r32 c in
-      c.section <- "node name";
-      let s_name = rstr16 c in
-      c.section <- "node value";
-      let s_value =
-        match r8 c with
-        | 0 -> None
-        | 1 ->
-          let n = r32 c in
-          need c n;
-          let v = String.sub c.data c.pos n in
-          c.pos <- c.pos + n;
-          Some v
-        | f -> corrupt "bad value flag %d" f
-      in
-      c.section <- "node label";
-      let s_label_bits = r16 c in
-      let s_label_bytes = rstr16 c in
-      { s_kind; s_parent; s_name; s_value; s_label_bits; s_label_bytes })
+  let read_node () =
+    c.section <- "node header";
+    let s_kind =
+      match r8 c with 0 -> Tree.Element | 1 -> Tree.Attribute | k -> corrupt "bad node kind %d" k
+    in
+    let s_parent = r32 c in
+    c.section <- "node name";
+    let s_name = rstr16 c in
+    c.section <- "node value";
+    let s_value =
+      match r8 c with
+      | 0 -> None
+      | 1 ->
+        let n = r32 c in
+        need c n;
+        let v = String.sub c.data c.pos n in
+        c.pos <- c.pos + n;
+        Some v
+      | f -> corrupt "bad value flag %d" f
+    in
+    c.section <- "node label";
+    let s_label_bits = r16 c in
+    let s_label_bytes = rstr16 c in
+    { s_kind; s_parent; s_name; s_value; s_label_bits; s_label_bytes }
+  in
+  let rec go i acc =
+    if i = count then Array.of_list (List.rev acc) else go (i + 1) (read_node () :: acc)
+  in
+  go 0 []
 
 (* ---- envelope ----------------------------------------------------- *)
 

@@ -182,16 +182,24 @@ module Prng = Repro_codes.Prng
 (* Shapes the name-signature rule leaves out ride along: a step must
    re-evaluate them every time. *)
 let unsigned_queries =
-  [ "//*"; "//item[2]"; "//item/following-sibling::entry"; "//@id"; "//section[@kind]";
-    "//entry[field = 'alpha']"; "/*//field"; "//group/node()" ]
+  [ "//*"; "//item/following-sibling::entry"; "//@id"; "//section[@kind]"; "/*//field";
+    "//group/node()" ]
+
+(* Positional, counting and value-comparing predicates over name paths
+   have signatures too: the storm checks every answer they keep. *)
+let signed_queries =
+  [ ("//item[2]", [ "item" ]);
+    ("//entry[field = 'alpha']", [ "entry"; "field" ]);
+    ("//list[count(item) > 0]", [ "item"; "list" ]);
+    ("//section[not(field) or position() = last()]", [ "field"; "section" ]);
+    ("//group//record[1]", [ "group"; "record" ]) ]
 
 (* A seeded storm over a fresh document: plain primitives through the
    journal resolver — inserts of pooled names, deletes, renames (the
    document element included) and value changes — interleaved with all
-   six migration operators. After every operation the pool is stepped
-   with the full re-evaluation on; the storm returns the summed tally of
-   answers re-evaluated, kept, and kept but stale. *)
-let survival_storm scheme seed =
+   six migration operators. [setup doc inc] runs once before the first
+   operation and returns what to do after each of the 40. *)
+let storm scheme seed setup =
   let pack =
     match Repro_schemes.Registry.find scheme with
     | Some p -> p
@@ -205,15 +213,8 @@ let survival_storm scheme seed =
   let r = Journal.Resolver.create session in
   let ap = { M.ap_session = session; ap_run = (fun o -> Journal.Resolver.apply r o) } in
   let inc = Repro_encoding.Axis_inc.create doc in
-  let src () = Repro_encoding.Axis_inc.source (Repro_encoding.Axis_inc.snapshot inc) in
   let names = Survival.element_names doc in
-  let pool =
-    Survival.pool ~seed ~count:12 doc
-    @ List.map Survival.parse_xpath unsigned_queries
-    @ [ Survival.parse_twig "section[field//meta]" ]
-  in
-  let tracked = Survival.track (src ()) pool in
-  let tally = Survival.tally () in
+  let after = setup doc inc in
   let rng = Prng.create (seed lxor 0x5e7) in
   let pick a = a.(Prng.int rng (Array.length a)) in
   let lab n =
@@ -235,9 +236,24 @@ let survival_storm scheme seed =
       prim (Oplog.Rename (lab n, pick names))
     | 3 -> prim (Oplog.Replace_value (lab (pick nodes), Some (pick [| "alpha"; "bravo" |])))
     | _ -> Option.iter (fun op -> ignore (M.apply ap op)) (Gen.next rng doc ~step));
-    ignore (Survival.step ~check:true ~tally (src ()) tracked)
+    after ()
   done;
-  Repro_encoding.Axis_inc.detach inc;
+  Repro_encoding.Axis_inc.detach inc
+
+let storm_pool seed doc =
+  Survival.pool ~seed ~count:12 doc
+  @ List.map Survival.parse_xpath (unsigned_queries @ List.map fst signed_queries)
+  @ [ Survival.parse_twig "section[field//meta]" ]
+
+(* The survival pool stepped after every operation with the full
+   re-evaluation on: the summed tally of answers re-evaluated, kept, and
+   kept but stale. *)
+let survival_storm scheme seed =
+  let tally = Survival.tally () in
+  storm scheme seed (fun doc inc ->
+      let src () = Repro_encoding.Axis_inc.source (Repro_encoding.Axis_inc.snapshot inc) in
+      let tracked = Survival.track (src ()) (storm_pool seed doc) in
+      fun () -> ignore (Survival.step ~check:true ~tally (src ()) tracked));
   tally
 
 let survival_matches_reevaluation scheme =
@@ -261,7 +277,14 @@ let survival_skips () =
     (fun q ->
       check Alcotest.bool (q ^ " has no name signature") true
         (Repro_encoding.Xpath.name_signature (Repro_encoding.Xpath.parse q) = None))
-    unsigned_queries
+    unsigned_queries;
+  List.iter
+    (fun (q, names) ->
+      check
+        Alcotest.(option (list string))
+        (q ^ " signature") (Some names)
+        (Repro_encoding.Xpath.name_signature (Repro_encoding.Xpath.parse q)))
+    signed_queries
 
 (* ---- the wire path ---------------------------------------------------- *)
 
@@ -384,6 +407,115 @@ let migrate_retry_exactly_once () =
       check Alcotest.bool "the retry actually happened" true
         ((Client.counters c).Client.c_retries >= 1))
 
+(* ---- the served-query answer cache ------------------------------------ *)
+
+module Qe = Repro_server.Query_eval
+module Axis_inc = Repro_encoding.Axis_inc
+
+let serve ?cache metrics inc snap q ~limit =
+  Qe.serve metrics ~paranoid:false ~doc_rev:(Axis_inc.rev snap) ~inc ~pub_time:0. ~snap ?cache q
+    ~limit
+
+let count metrics key =
+  List.fold_left
+    (fun n (m : P.metric) -> if m.P.m_key = key then m.P.m_count else n)
+    0 (Repro_server.Metrics.snapshot metrics)
+
+(* Every reply served through the cache after every storm operation —
+   total, rows with their levels, and revision — equals a fresh
+   evaluation at the same snapshot. Each query is served twice per step,
+   so hits at the same revision are exercised as well as hits across
+   revisions. Returns (differing replies, hits). *)
+let cache_storm scheme seed =
+  let metrics = Repro_server.Metrics.create () in
+  let bad = ref 0 in
+  storm scheme seed (fun doc inc ->
+      let cache = Qe.cache () in
+      let qs =
+        List.map
+          (function
+            | Survival.Q_xpath (s, _) -> Qe.Q_xpath s | Survival.Q_twig (s, _) -> Qe.Q_twig s)
+          (storm_pool seed doc)
+        @ [ Qe.Q_xpath "//record[2]"; Qe.Q_xpath "//group/@*"; Qe.Q_xpath "/*/*";
+            Qe.Q_twig "entry[field][//meta]" ]
+      in
+      fun () ->
+        let snap = Axis_inc.snapshot inc in
+        List.iter
+          (fun q ->
+            List.iter
+              (fun limit ->
+                let fresh = serve metrics inc snap q ~limit in
+                for _ = 1 to 2 do
+                  if serve ~cache metrics inc snap q ~limit <> fresh then incr bad
+                done)
+              [ 3; 32 ])
+          qs);
+  (!bad, count metrics "query/cache_hit")
+
+let cache_matches_fresh scheme =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:8
+       ~name:(scheme ^ ": every cached reply equals a fresh evaluation")
+       QCheck.(int_bound 100_000)
+       (fun seed ->
+         let bad, _ = cache_storm scheme seed in
+         if bad > 0 then QCheck.Test.fail_reportf "seed %d: %d stale cached reply(ies)" seed bad;
+         true))
+
+(* The property above holds vacuously if nothing ever hits. *)
+let cache_hits_under_storm () =
+  let bad, hits = cache_storm "QED" 7 in
+  check Alcotest.int "no stale reply" 0 bad;
+  check Alcotest.bool "some replies came from the cache" true (hits > 0)
+
+let cache_doc () =
+  let doc =
+    Repro_workload.Docgen.generate ~seed:5
+      { Repro_workload.Docgen.default_shape with target_nodes = 600 }
+  in
+  (doc, Axis_inc.create doc)
+
+(* Workers serve older snapshots concurrently: an older snapshot must
+   not hit an entry taken later, nor replace it. *)
+let cache_older_snapshot () =
+  let doc, inc = cache_doc () in
+  let metrics = Repro_server.Metrics.create () in
+  let cache = Qe.cache () in
+  let q = Qe.Q_xpath "/*/*" in
+  let old_snap = Axis_inc.snapshot inc in
+  ignore (Tree.insert_last_child doc (Tree.root doc) (Tree.elt "fresh" []));
+  let new_snap = Axis_inc.snapshot inc in
+  let total resp = match resp with P.Query_r r -> (r.P.qy_total, r.P.qy_rev) | _ -> (-1, -1) in
+  let newer = serve ~cache metrics inc new_snap q ~limit:5 in
+  let older = serve ~cache metrics inc old_snap q ~limit:5 in
+  check Alcotest.int "nothing hit yet" 0 (count metrics "query/cache_hit");
+  check Alcotest.(pair int int) "the older snapshot's own answer"
+    (total (serve metrics inc old_snap q ~limit:5)) (total older);
+  check Alcotest.bool "the answers differ" true (total older <> total newer);
+  check Alcotest.bool "the newer entry survived" true
+    (serve ~cache metrics inc new_snap q ~limit:5 = newer);
+  check Alcotest.int "and answered from the cache" 1 (count metrics "query/cache_hit");
+  Axis_inc.detach inc
+
+(* Distinct query texts evict, they do not grow the cache past its
+   bounds: neither in entries nor in rows. *)
+let cache_stays_bounded () =
+  let _doc, inc = cache_doc () in
+  let metrics = Repro_server.Metrics.create () in
+  let cache = Qe.cache () in
+  let snap = Axis_inc.snapshot inc in
+  for k = 1 to 3 * Qe.max_cached_entries do
+    let q = Qe.Q_xpath (Printf.sprintf "/descendant::*[position() > %d]" k) in
+    ignore (serve ~cache metrics inc snap q ~limit:Qe.max_rows);
+    let entries, rows = Qe.cache_size cache in
+    if entries > Qe.max_cached_entries || rows > Qe.max_cached_rows then
+      Alcotest.failf "after %d texts: %d entries, %d rows" k entries rows
+  done;
+  let entries, rows = Qe.cache_size cache in
+  check Alcotest.bool "the cache holds something" true (entries > 0 && rows > 0);
+  Axis_inc.detach inc
+
 let suite =
   [
     Alcotest.test_case "move_subtree round-trips" `Quick move_subtree_roundtrip;
@@ -406,4 +538,10 @@ let suite =
     survival_matches_reevaluation "QED";
     survival_matches_reevaluation "Vector";
     Alcotest.test_case "survival keeps answers under a storm" `Quick survival_skips;
+    cache_matches_fresh "QED";
+    cache_matches_fresh "Vector";
+    Alcotest.test_case "the answer cache hits under a storm" `Quick cache_hits_under_storm;
+    Alcotest.test_case "an older snapshot neither hits nor overwrites" `Quick
+      cache_older_snapshot;
+    Alcotest.test_case "distinct texts cannot grow the cache" `Quick cache_stays_bounded;
   ]

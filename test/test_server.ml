@@ -740,6 +740,50 @@ let pipelined_replies_keep_order () =
       | Some m -> check Alcotest.bool "workers started" true (m.P.m_total_ns > 0)
       | None -> Alcotest.fail "query/workers gauge missing")
 
+(* An update parked behind group commit is answered after the Ping and
+   the Xpath pipelined behind it are ready: they wait for its turn
+   instead of overtaking it. *)
+let parked_ack_keeps_order () =
+  let root = fresh_root () in
+  let t =
+    Server.start
+      { (Server.default_config ~root) with fsync_every = 0; commit_interval_us = 50_000 }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.stop t);
+      rm_rf root)
+    (fun () ->
+      let o = with_client t (fun c -> open_doc c ~doc:"parked" ~scheme:"QED" ~nodes:40) in
+      let root_l = { Oplog.l_bytes = o.o_root.P.l_bytes; l_bits = o.o_root.P.l_bits } in
+      let fd, reader = connect_raw t in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          for round = 1 to 5 do
+            send_all fd
+              (String.concat ""
+                 (List.map
+                    (fun r -> Repro_server.Wire.frame (P.encode_req r))
+                    [ P.Update
+                        { u_doc = "parked"; u_client = ""; u_seq = 0;
+                          u_ops = [ Oplog.Insert_last (root_l, Tree.elt "late" []) ] };
+                      P.Ping;
+                      P.Xpath { xq_doc = "parked"; xq_src = "//late"; xq_limit = 5 } ]));
+            List.iter
+              (fun (what, want) ->
+                match Repro_server.Wire.recv_frame reader with
+                | Repro_server.Wire.Frame payload -> (
+                  match P.decode_resp payload with
+                  | Ok resp when want resp -> ()
+                  | Ok _ -> Alcotest.failf "round %d: reply %s out of order" round what
+                  | Error e -> Alcotest.failf "round %d: undecodable reply: %s" round e)
+                | _ -> Alcotest.failf "round %d: no reply for %s" round what)
+              [ ("update", function P.Updated _ -> true | _ -> false);
+                ("ping", function P.Pong _ -> true | _ -> false);
+                ("xpath", function P.Query_r q -> q.P.qy_total = round | _ -> false) ]
+          done))
+
 (* A paranoid [//*] over a few thousand nodes re-derives every row through
    the scan evaluator: slow enough to still be on its worker when the
    server is told to stop. *)
@@ -816,6 +860,7 @@ let suite =
       (paranoid_query_soak ~legacy:true);
     Alcotest.test_case "pipelined replies keep request order" `Quick
       pipelined_replies_keep_order;
+    Alcotest.test_case "a parked ack keeps its place" `Quick parked_ack_keeps_order;
     Alcotest.test_case "stop with a query in flight" `Quick
       (shutdown_with_query_in_flight ~abort:false);
     Alcotest.test_case "abort with a query in flight" `Quick

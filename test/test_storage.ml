@@ -118,6 +118,17 @@ let loader_never_crashes =
       | exception Repro_storage.Store.Corrupt _ -> true
       | exception _ -> false)
 
+(* A case the property above once drew: byte 4 set to 67 makes the node
+   count huge, and the checksum probe used to allocate that many nodes
+   (Out_of_memory) instead of failing. *)
+let huge_node_count_fails_cleanly () =
+  let session = updated_session (module Repro_schemes.Qed : Core.Scheme.S) 825 in
+  let data = Repro_storage.Store.save session in
+  let mutated = String.mapi (fun i c -> if i = 4 then Char.chr 67 else c) data in
+  match Repro_storage.Store.load mutated with
+  | _ -> Alcotest.fail "a damaged store loaded"
+  | exception Repro_storage.Store.Corrupt _ -> ()
+
 (* Truncations at every length must also fail cleanly. *)
 let truncations_fail_cleanly =
   QCheck.Test.make ~name:"truncated stores fail cleanly" ~count:200
@@ -212,5 +223,6 @@ let suite =
       ("corruption messages name the failure", `Quick, corruption_messages);
       ("round trip over every registered scheme", `Quick, roundtrip_every_registered_scheme);
       qcheck loader_never_crashes;
+      ("a huge node count fails cleanly", `Quick, huge_node_count_fails_cleanly);
       qcheck truncations_fail_cleanly;
     ]
