@@ -28,12 +28,15 @@ type cell = Axis_source.node = {
   n_value : string option;
 }
 
-(* One name's live nodes, and its change stamp: the Tree.revision at
-   which a node carrying the name was last inserted, deleted, renamed to
-   or from it, or given a new value. The stamp rides in the name index
-   entry that every such mutation updates anyway, so it costs no extra
-   map walk. *)
-type entry = { ranks : Iset.t; changed : int }
+(* One name's live nodes and its two change stamps. [changed] is the
+   Tree.revision at which a node carrying the name was last inserted,
+   deleted, renamed to or from it, or given a new value; it rides in the
+   name index entry that every such mutation updates anyway.
+   [kids_changed] is the revision at which a child or attribute of some
+   node carrying the name was last inserted, deleted, renamed or
+   revalued: every primitive knows the parent it acts under, so this
+   costs one more entry update, at the parent's name. *)
+type entry = { ranks : Iset.t; changed : int; kids_changed : int }
 
 (* The stamps of names whose last node went. A name in neither this nor
    the name index last changed at [floor]. Once [buried] holds more
@@ -71,10 +74,15 @@ let rev s = s.s_rev
 let size s = Imap.cardinal s.plane
 let stamped s = Smap.cardinal s.names + s.gone.count
 
-let changed_at s name =
+(* A gone name's node went at its buried (or the floor) revision, after
+   any change to its children: both stamps read that. *)
+let stamp field s name =
   match Smap.find_opt name s.names with
-  | Some e -> e.changed
+  | Some e -> field e
   | None -> ( match Smap.find_opt name s.gone.buried with Some r -> r | None -> s.gone.floor)
+
+let changed_at = stamp (fun e -> e.changed)
+let kids_changed_at = stamp (fun e -> max e.changed e.kids_changed)
 
 let stats t = { ops = t.m_ops; renumbered = t.m_renumbered; ns = t.m_ns }
 
@@ -95,7 +103,7 @@ let iset_remove k pre m =
     m
 
 (* [at] stamps the name. Renumbering changes no name and passes none:
-   the stamp is kept, and an entry left without ranks stays until the
+   the stamps are kept, and an entry left without ranks stays until the
    renumbered rank comes back (so a new entry without [at] cannot occur;
    it would read as changed after everything). A real removal that
    takes a name's last node drops its entry and says so. *)
@@ -103,8 +111,10 @@ let names_add ?at name pre m =
   Smap.update name
     (function
       | Some e ->
-        Some { ranks = Iset.add pre e.ranks; changed = Option.value at ~default:e.changed }
-      | None -> Some { ranks = Iset.singleton pre; changed = Option.value at ~default:max_int })
+        Some { e with ranks = Iset.add pre e.ranks; changed = Option.value at ~default:e.changed }
+      | None ->
+        let at = Option.value at ~default:max_int in
+        Some { ranks = Iset.singleton pre; changed = at; kids_changed = at })
     m
 
 let names_remove ?at name pre m =
@@ -119,12 +129,20 @@ let names_remove ?at name pre m =
           | Some _ when Iset.is_empty ranks ->
             died := true;
             None
-          | _ -> Some { ranks; changed = Option.value at ~default:e.changed }))
+          | _ -> Some { e with ranks; changed = Option.value at ~default:e.changed }))
       m
   in
   (m, !died)
 
 let names_touch at name m = Smap.update name (Option.map (fun e -> { e with changed = at })) m
+
+(* Stamp the children of [n]'s parent, under the name the tree gives it
+   (the index has folded in every rename the tree made): none at the
+   document element. *)
+let parent_touch at n m =
+  match Tree.parent n with
+  | Some p -> Smap.update p.Tree.name (Option.map (fun e -> { e with kids_changed = at })) m
+  | None -> m
 
 let min_limit = 64
 
@@ -408,7 +426,7 @@ let on_insert t n =
       snap sub pres
   in
   t.m_renumbered <- t.m_renumbered + List.length pre_remaps + List.length post_remaps;
-  t.snap <- { snap with s_rev = at }
+  t.snap <- { snap with names = parent_touch at n snap.names; s_rev = at }
 
 let on_delete t n =
   let at = Tree.revision t.doc in
@@ -417,7 +435,7 @@ let on_delete t n =
       (fun s node ->
         let pre = Imap.find node.Tree.id s.pre_of in
         remove_cell at s (pre, Imap.find pre s.plane))
-      t.snap
+      { t.snap with names = parent_touch at n t.snap.names }
       (n :: Tree.descendants n)
   in
   t.snap <- { snap with s_rev = at }
@@ -427,7 +445,7 @@ let on_rename t n old =
   let pre = Imap.find n.Tree.id snap.pre_of in
   let c = Imap.find pre snap.plane in
   let at = Tree.revision t.doc in
-  let names, died = names_remove ~at old pre snap.names in
+  let names, died = names_remove ~at old pre (parent_touch at n snap.names) in
   let names = names_add ~at n.Tree.name pre names in
   t.snap <-
     {
@@ -447,7 +465,7 @@ let on_value t n =
     {
       snap with
       plane = Imap.add pre { c with n_value = n.Tree.value } snap.plane;
-      names = names_touch at n.Tree.name snap.names;
+      names = names_touch at n.Tree.name (parent_touch at n snap.names);
       s_rev = at;
     }
 
@@ -512,6 +530,7 @@ let source snap : Axis_source.t =
     history = snap.history;
     revision = snap.s_rev;
     changed_at = changed_at snap;
+    kids_changed_at = kids_changed_at snap;
   }
 
 let rows snap = Rank_join.rows (source snap) (Rank_join.of_list (Imap.bindings snap.plane))

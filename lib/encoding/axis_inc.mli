@@ -52,6 +52,16 @@ val changed_at : snap -> string -> int
     such records outnumber the live names, when they fold into one
     floor revision, never earlier than any folded stamp. *)
 
+val kids_changed_at : snap -> string -> int
+(** The revision at which a child or attribute of some node named
+    [name] was last inserted, deleted, renamed or given a new value, or
+    {!changed_at} if that is later. Insert and delete stamp the parent
+    of the subtree root, rename and revalue the parent of the node; a
+    subtree's inner parent-child links come and go with its own nodes,
+    whose names {!changed_at} stamps. Window renumbering changes
+    nothing. A gone name reads its {!changed_at} stamp: its last node
+    went after every change to its children. *)
+
 val stamped : snap -> int
 (** Names that carry a stamp of their own, live or gone: bounded by a
     constant factor of the live distinct names (plus a small constant),
@@ -64,8 +74,8 @@ val rows : snap -> Encoding.row list
 val source : snap -> Axis_source.t
 (** The snapshot as an axis source for {!Xpath.eval_src} and
     {!Twig.matches_src}. Axes cost O(log n + answer). Its [history] is
-    this index's own, shared by every snapshot of it; [changed_at] is
-    {!changed_at}. *)
+    this index's own, shared by every snapshot of it; [changed_at] and
+    [kids_changed_at] are {!changed_at} and {!kids_changed_at}. *)
 
 val verify : t -> (unit, string) result
 (** Diffs the live index against a fresh {!Encoding.of_doc} rebuild:

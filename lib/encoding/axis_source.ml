@@ -20,11 +20,14 @@ type t = {
   history : int;
   revision : int;
   changed_at : string -> int;
+  kids_changed_at : string -> int;
 }
+
+type stamp = Name of string | Kids of string
 
 (* The dense index keys nodes by their pre rank, which is also their
    position in its row array. It is rebuilt per revision and keeps no
-   change history, so every name reads as changed after any answer. *)
+   change history, so every stamp reads as changed after any answer. *)
 let of_index idx =
   let node pre =
     let r = Axis_index.row idx pre in
@@ -44,13 +47,16 @@ let of_index idx =
     history = -1;
     revision = 0;
     changed_at = (fun _ -> max_int);
+    kids_changed_at = (fun _ -> max_int);
   }
 
-let holds src ~history ~rev names =
+let stamped_at src = function Name n -> src.changed_at n | Kids n -> src.kids_changed_at n
+
+let holds src ~history ~rev signature =
   history >= 0 && src.history = history && src.revision >= rev
   && (src.revision = rev
-     || match names with
-        | Some names -> List.for_all (fun n -> src.changed_at n <= rev) names
+     || match signature with
+        | Some stamps -> List.for_all (fun s -> stamped_at src s <= rev) stamps
         | None -> false)
 
 let root src =

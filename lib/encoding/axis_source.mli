@@ -18,14 +18,16 @@
       rank — the one extra lookup a full row costs;
     - [scan pre f] visits the nodes from rank [pre] on in document order
       while [f] returns [true]: the region scans of the remaining axes;
-    - [revision] is the {!Repro_xml.Tree.revision} the source reflects,
-      and [changed_at name] the revision at which a node named [name]
+    - [revision] is the {!Repro_xml.Tree.revision} the source reflects;
+      [changed_at name] the revision at which a node named [name]
       (element or attribute) was last inserted, deleted, renamed to or
-      from [name], or given a new value. Rank renumbering changes no
-      name. Both count in the change history
-      [history] names: answers computed from two sources of one history
-      can be compared by revision, answers from different histories
-      cannot.
+      from [name], or given a new value; and [kids_changed_at name] the
+      revision at which a child or attribute of some node named [name]
+      was last inserted, deleted, renamed or revalued (or
+      [changed_at name], if later). Rank renumbering changes neither.
+      All count in the change history [history] names: answers computed
+      from two sources of one history can be compared by revision,
+      answers from different histories cannot.
 
     Ranks may be {e sparse}: only their relative order is meaningful,
     which is all the region predicates need. *)
@@ -50,19 +52,24 @@ type t = {
   history : int;
   revision : int;
   changed_at : string -> int;
+  kids_changed_at : string -> int;
 }
 
 val of_index : Axis_index.t -> t
 (** The batch index keeps no change history: [history] is [-1] and
-    [changed_at] reads [max_int] for every name. *)
+    [changed_at] and [kids_changed_at] read [max_int] for every name. *)
 
-val holds : t -> history:int -> rev:int -> string list option -> bool
+(** One stamp an answer depends on: [Name n] reads [changed_at n],
+    [Kids n] reads [kids_changed_at n]. *)
+type stamp = Name of string | Kids of string
+
+val holds : t -> history:int -> rev:int -> stamp list option -> bool
 (** Whether an answer taken from change history [history] at revision
     [rev] still holds at [src]: same history, [src] no older, and either
-    the same revision or a name signature (see
-    {!Xpath.name_signature}) none of whose names [src] stamps later than
-    [rev]. Exact because no primitive moves a surviving node (a move is
-    a delete plus a re-insert). Never for a source without a history. *)
+    the same revision or a signature (see {!Xpath.signature}) none of
+    whose stamps [src] reads later than [rev]. Exact because no
+    primitive moves a surviving node (a move is a delete plus a
+    re-insert). Never for a source without a history. *)
 
 val root : t -> int * node
 (** The document element. *)

@@ -123,8 +123,8 @@ let rec select_src (src : Axis_source.t) t =
 
 let matches_src src t = Rank_join.rows src (select_src src t)
 
-let names t =
+let signature t =
   let rec go acc t = List.fold_left (fun acc (_, b) -> go acc b) (t.name :: acc) t.branches in
-  List.sort_uniq String.compare (go [] t)
+  List.map (fun n -> Axis_source.Name n) (List.sort_uniq String.compare (go [] t))
 
 let matches idx t = matches_src (Axis_source.of_index idx) t

@@ -47,11 +47,12 @@ val matches_src : Axis_source.t -> t -> Encoding.row list
 val select_src : Axis_source.t -> t -> Rank_join.t
 (** {!matches_src}'s answer as a stream, without building its rows. *)
 
-val names : t -> string list
-(** The pattern's distinct names, sorted. The answer is read from the
-    name index alone, so (as for {!Xpath.name_signature}) it stays the
-    same across mutations that insert, delete, rename or revalue no
-    node carrying one of them, as long as no surviving node moves. *)
+val signature : t -> Axis_source.stamp list
+(** A [Name] stamp for each of the pattern's distinct names, sorted. The
+    answer is read from the name index alone, so (as for
+    {!Xpath.signature}) it stays the same across mutations that insert,
+    delete, rename or revalue no node carrying one of them, as long as
+    no surviving node moves. *)
 
 val matches_xpath_equivalent : t -> string
 (** The XPath expression computing the same result navigationally. *)

@@ -870,6 +870,61 @@ and exists src s = function
 let select_src src (p : ast) =
   drop_virtual (src_path src (single (Axis_source.root src)) (collapse_path p))
 
+(* [name_signature]'s stamps, and the shapes whose answer also depends
+   on the children of the nodes a name-signed path [S] (ending in name
+   X) selects, or on the document element's (named R at [src]):
+
+   - [S/*], [S/node()], [S/@T]: S's names and [Kids X]; [/*/*] and its
+     kin: [Name R] and [Kids R];
+   - [S/following-sibling::T], [S/preceding-sibling::T]: S's names (and
+     T's, if it is one), and [Name P] and [Kids P] for each distinct
+     name P of a parent of S's nodes at [src].
+
+   Exact: S's nodes hold while S's names do. The children of a surviving
+   node come and go only by an insert or delete under it, and change
+   name or value only by a rename or revalue of the child — each stamps
+   [Kids] of the parent's name. A parent renamed away from P stamps
+   [Name P], and no primitive moves a surviving node, so levels and
+   document order hold. *)
+let signature (src : Axis_source.t) (p : ast) =
+  let named = List.map (fun n -> Axis_source.Name n) in
+  match name_signature p with
+  | Some names -> Some (named names)
+  | None -> (
+    let p = collapse_path p in
+    match List.rev p.steps with
+    | last :: rev_prefix when last.predicates = [] -> (
+      let prefix = { p with steps = List.rev rev_prefix } in
+      (* the prefix's stamps, and the name of the nodes it selects *)
+      let head =
+        match rev_prefix with
+        | [ { axis = Child; test = Any; predicates = [] } ] when p.absolute ->
+          let r = (snd (Axis_source.root src)).n_name in
+          Some ([ Axis_source.Name r ], r)
+        | { axis = Child | Descendant; test = Name x; _ } :: _ ->
+          Option.map (fun names -> (named names, x)) (name_signature prefix)
+        | _ -> None
+      in
+      let parents () =
+        Array.fold_left
+          (fun acc (n : Axis_source.node) ->
+            if n.n_parent < 0 then acc
+            else (src.node (src.rank_of_key n.n_parent)).n_name :: acc)
+          [] (select_src src prefix).Rank_join.node
+        |> List.sort_uniq String.compare
+      in
+      let signed stamps = Some (List.sort_uniq compare stamps) in
+      match (head, last) with
+      | Some (stamps, x), ({ axis = Child; test = Any | Node; _ } | { axis = Attribute; _ }) ->
+        signed (Axis_source.Kids x :: stamps)
+      | Some (stamps, _), { axis = Following_sibling | Preceding_sibling; test; _ } ->
+        let y = match test with Name y -> [ Axis_source.Name y ] | Any | Node -> [] in
+        signed
+          (stamps @ y
+          @ List.concat_map (fun p -> [ Axis_source.Name p; Axis_source.Kids p ]) (parents ()))
+      | _ -> None)
+    | _ -> None)
+
 let eval_src_ast src p = Rank_join.rows src (select_src src p)
 
 let eval_src src q = eval_src_ast src (parse q)

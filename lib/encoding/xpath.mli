@@ -35,21 +35,39 @@ val collapse : ast -> ast
     The indexed evaluators do this internally; exposed so a scan baseline
     can be timed on the collapsed form too. *)
 
-val name_signature : ast -> string list option
-(** The distinct names the path's answer depends on, if its collapsed
-    form is made only of name tests on child and descendant steps (or
-    the [descendant-or-self::node()/child::name] pair a positional
-    ['//name[k]'] keeps) whose predicates combine relative paths of the
-    same kind, [count()] of them, literals, numbers, [position()],
-    [last()], comparisons, [and], [or] and [not]. [Some names] promises
-    that the answer (its nodes' kinds, names, values and levels, in
-    document order) stays the same across any mutations that insert,
-    delete, rename or revalue no node carrying one of [names], as long
-    as no surviving node moves: a name-test step numbers only
-    candidates of its own name, and a comparison reads a node's own
-    value. [None] for every other shape — wildcards, [node()] outside
-    that pair, [.], [..], attribute, sibling, parent, ancestor or
-    following/preceding axes, absolute paths inside predicates. *)
+val signature : Axis_source.t -> ast -> Axis_source.stamp list option
+(** The stamps an answer the path takes from [src] depends on, for the
+    shapes whose answer (its nodes' kinds, names, values and levels, in
+    document order) provably holds while none of them moves:
+
+    - after {!collapse}, name tests on child and descendant steps (or
+      the [descendant-or-self::node()/child::name] pair a positional
+      ['//name[k]'] keeps) whose predicates combine relative paths of
+      the same kind, [count()] of them, literals, numbers,
+      [position()], [last()], comparisons, [and], [or] and [not]: a
+      [Name] stamp per name. Such a path selects nodes of its last name
+      in fixed child/descendant relations to nodes of its other names,
+      a name-test step numbers only candidates of its name, and a
+      comparison reads a node's own value;
+    - such a path S ending in name X, followed by one step [*],
+      [node()] or an attribute step, without predicates: S's stamps
+      and [Kids X]; [/*] followed by one such step: [Name R] and
+      [Kids R] for the document element's current name R;
+    - S followed by a [following-sibling::T] or [preceding-sibling::T]
+      step without predicates ([T] a name, [*] or [node()]): S's stamps,
+      [Name T] for a name test, and [Name P] and [Kids P] for each
+      distinct name P of a parent of S's nodes at [src].
+
+    Exact because no primitive moves a surviving node: S's nodes change
+    only with a [Name] stamp of S; a surviving node's children change
+    only by an insert or delete under it, or a rename or revalue of the
+    child, each of which stamps [Kids] of the parent's name; and a
+    parent renamed away from P stamps [Name P]. The sibling and
+    document-element signatures depend on [src], so a caller recomputes
+    the signature with every answer. [None] for every other shape —
+    [//*], [.], [..], ancestor, parent or following/preceding axes,
+    absolute paths or attribute steps inside predicates, predicates on
+    a wildcard or sibling step. *)
 
 val eval : Encoding.t -> string -> Encoding.row list
 (** [eval enc path] parses and evaluates [path] with the document root as

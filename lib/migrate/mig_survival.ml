@@ -63,15 +63,15 @@ let pool ~seed ~count doc =
   in
   List.init count mk
 
-(* The names whose changes can move a query's answer (see
-   [Xpath.name_signature] and [Twig.names]). *)
-let signature = function
-  | Q_xpath (_, ast) -> Xpath.name_signature ast
-  | Q_twig (_, t) -> Some (Twig.names t)
+(* The stamps whose changes can move a query's answer taken from [src]
+   (see [Xpath.signature] and [Twig.signature]). *)
+let signature src = function
+  | Q_xpath (_, ast) -> Xpath.signature src ast
+  | Q_twig (_, t) -> Some (Twig.signature t)
 
 type tracked = {
   tq : query;
-  t_names : string list option;
+  mutable t_sig : Axis_source.stamp list option;
   mutable t_answer : answer;
   mutable t_verdict : verdict;
   mutable t_history : int;
@@ -83,7 +83,7 @@ let track (src : Axis_source.t) qs =
     (fun q ->
       {
         tq = q;
-        t_names = signature q;
+        t_sig = signature src q;
         t_answer = answer src q;
         t_verdict = Survived;
         t_history = src.history;
@@ -96,10 +96,10 @@ type tally = { mutable evaluated : int; mutable skipped : int; mutable mismatche
 let tally () = { evaluated = 0; skipped = 0; mismatches = 0 }
 
 (* A kept answer still holds when it came from the same change history,
-   no later than [src], and none of the query's names changed since
+   no later than [src], and none of its signature's stamps moved since
    ([Axis_source.holds]). *)
 let unchanged (src : Axis_source.t) t =
-  Axis_source.holds src ~history:t.t_history ~rev:t.t_rev t.t_names
+  Axis_source.holds src ~history:t.t_history ~rev:t.t_rev t.t_sig
 
 (* Bring the pool up to a fresh snapshot, re-evaluating only the queries
    whose kept answers may have moved; [check] re-evaluates the rest too
@@ -123,6 +123,7 @@ let step ?(check = false) ?(tally = tally ()) (src : Axis_source.t) tracked =
         end
         else begin
           tally.evaluated <- tally.evaluated + 1;
+          t.t_sig <- signature src t.tq;
           answer src t.tq
         end
       in

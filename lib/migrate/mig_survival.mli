@@ -14,13 +14,14 @@
     verdicts are sticky in the worst direction across a storm.
 
     A step re-evaluates only the queries whose answers may have moved.
-    Each query with a name signature ({!Repro_encoding.Xpath.name_signature};
-    every twig has one) keeps its answer without evaluation while the
-    source's change history stamps none of its names later than the
-    revision the answer was taken at. The oplog primitives never move a
-    surviving node, so nothing else can change such an answer; every
-    other query, and any answer taken from another history, is
-    re-evaluated. *)
+    Each query with a signature ({!Repro_encoding.Xpath.signature}, taken
+    afresh with every evaluation because a sibling or document-element
+    signature depends on the snapshot; every twig has one, its names)
+    keeps its answer without evaluation while the source's change
+    history moves none of its stamps past the revision the answer was
+    taken at. The oplog primitives never move a surviving node, so
+    nothing else can change such an answer; every other query, and any
+    answer taken from another history, is re-evaluated. *)
 
 type query = Q_xpath of string * Repro_encoding.Xpath.ast | Q_twig of string * Repro_encoding.Twig.t
 
@@ -54,7 +55,8 @@ val pool : seed:int -> count:int -> Repro_xml.Tree.doc -> query list
 
 type tracked = {
   tq : query;
-  t_names : string list option;  (** the name signature, if the shape has one *)
+  mutable t_sig : Repro_encoding.Axis_source.stamp list option;
+      (** the signature of [t_answer], if the shape has one *)
   mutable t_answer : answer;
   mutable t_verdict : verdict;
   mutable t_history : int;  (** the source history [t_answer] was taken from *)

@@ -454,7 +454,8 @@ let fetch_server_gauges cfg =
                     List.mem m.P.m_key
                       [ "commit/flush"; "dedup/hit"; "shed/update"; "query/eval";
                         "query/paranoid"; "query/cache_hit"; "query/cache_miss";
-                        "query/cache_mismatch" ]
+                        "query/cache_miss_cold"; "query/cache_miss_stale";
+                        "query/cache_miss_unsigned"; "query/cache_mismatch" ]
                   then m.P.m_count
                   else m.P.m_total_ns )
             else None)

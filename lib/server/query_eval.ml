@@ -10,10 +10,13 @@
    handful of texts while mutations rarely touch the names they read, so
    an answer taken at one revision is reused at a later one whenever
    [Axis_source.holds]: same change history, and either the same
-   revision or a name signature none of whose names the served snapshot
-   stamps later than the answer. No primitive moves a surviving node, so
-   nothing else can change the answer's nodes, their order, values or
-   levels. *)
+   revision or a signature ([Xpath.signature], taken at the snapshot the
+   answer came from) none of whose stamps the served snapshot moved
+   later than the answer. A [Name] stamp moves with every insert,
+   delete, rename or revalue of a node of that name, a [Kids] stamp with
+   every one of a child or attribute of such a node; no primitive moves
+   a surviving node, so nothing else can change the answer's nodes,
+   their order, values or levels. *)
 
 module P = Protocol
 module Axis_inc = Repro_encoding.Axis_inc
@@ -38,7 +41,7 @@ let max_cached_rows = 16_384
 type entry = {
   e_history : int;  (** the change history the answer was taken from *)
   e_rev : int;  (** ... and the snapshot revision *)
-  e_names : string list option;  (** the query's name signature *)
+  e_sig : Axis_source.stamp list option;  (** the answer's signature *)
   e_total : int;
   e_rows : P.qrow list;
   e_nrows : int;
@@ -58,14 +61,20 @@ let cache () = { c_mu = Mutex.create (); c_tbl = Hashtbl.create 16; c_rows = 0; 
 
 let cache_size c = Mutex.protect c.c_mu (fun () -> (Hashtbl.length c.c_tbl, c.c_rows))
 
+(* The entry that answers [key] at [src], or the metric key saying why
+   none does: no entry, an unsigned one at another revision, or a signed
+   one whose stamps moved (or, rarely, one from another history or a
+   later revision than [src]). *)
 let lookup c key (src : Axis_source.t) =
   Mutex.protect c.c_mu (fun () ->
       match Hashtbl.find_opt c.c_tbl key with
-      | Some e when Axis_source.holds src ~history:e.e_history ~rev:e.e_rev e.e_names ->
+      | Some e when Axis_source.holds src ~history:e.e_history ~rev:e.e_rev e.e_sig ->
         c.c_tick <- c.c_tick + 1;
         e.e_used <- c.c_tick;
-        Some e
-      | _ -> None)
+        Ok e
+      | Some { e_sig = None; _ } -> Error "query/cache_miss_unsigned"
+      | Some _ -> Error "query/cache_miss_stale"
+      | None -> Error "query/cache_miss_cold")
 
 let drop c key e =
   Hashtbl.remove c.c_tbl key;
@@ -135,21 +144,22 @@ let cross_check snap what src answer scan =
          (Printf.sprintf "%s %S at revision %d: served %d rows, scan %d" what src (Axis_inc.rev snap)
             (List.length rows) (List.length scan)))
 
-(* The reply, and the query's name signature when it parsed. *)
+(* The reply, and the answer's signature (taken only when a miss stores
+   it) when the query parsed. *)
 let eval_xpath ~paranoid snap src ~limit =
   match Xpath.parse src with
   | exception Xpath.Parse_error { Xpath.position; message } ->
-    (P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }, None)
+    (P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }, lazy None)
   | ast ->
     let answer = Xpath.select_src (Axis_inc.source snap) ast in
     if paranoid then
       cross_check snap "xpath" src answer (Xpath.eval_scan_rows (Axis_inc.rows snap) ast);
-    (reply snap ~limit answer, Xpath.name_signature ast)
+    (reply snap ~limit answer, lazy (Xpath.signature (Axis_inc.source snap) ast))
 
 let eval_twig ~paranoid snap src ~limit =
   match Twig.parse src with
   | exception Twig.Parse_error { Twig.position; message } ->
-    (P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }, None)
+    (P.Query_error { qe_parse = true; qe_pos = position; qe_msg = message }, lazy None)
   | t ->
     let answer = Twig.select_src (Axis_inc.source snap) t in
     (* an independent route: the pattern's navigational XPath
@@ -157,7 +167,7 @@ let eval_twig ~paranoid snap src ~limit =
     if paranoid then
       cross_check snap "twig" src answer
         (Xpath.eval_scan_rows (Axis_inc.rows snap) (Xpath.parse (Twig.matches_xpath_equivalent t)));
-    (reply snap ~limit answer, Some (Twig.names t))
+    (reply snap ~limit answer, lazy (Some (Twig.signature t)))
 
 let evaluate ~paranoid snap query ~limit =
   match query with
@@ -180,7 +190,7 @@ let serve_hit metrics ~paranoid snap query ~limit e =
   else resp
 
 let serve_miss metrics ~paranoid snap cache query ~limit =
-  let resp, names = evaluate ~paranoid snap query ~limit in
+  let resp, signature = evaluate ~paranoid snap query ~limit in
   (match (cache, resp) with
   | Some c, P.Query_r { qy_total; qy_rows; _ } ->
     let src = Axis_inc.source snap in
@@ -189,7 +199,7 @@ let serve_miss metrics ~paranoid snap cache query ~limit =
         {
           e_history = src.Axis_source.history;
           e_rev = src.revision;
-          e_names = names;
+          e_sig = Lazy.force signature;
           e_total = qy_total;
           e_rows = qy_rows;
           e_nrows = List.length qy_rows;
@@ -204,14 +214,12 @@ let serve metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ?cache query ~limit =
   let wall0 = Unix.gettimeofday () in
   let t0 = Metrics.monotonic_ns () in
   let limit = max 0 (min limit max_rows) in
-  let hit =
-    match cache with Some c -> lookup c (query, limit) (Axis_inc.source snap) | None -> None
-  in
+  let looked = Option.map (fun c -> lookup c (query, limit) (Axis_inc.source snap)) cache in
   let resp =
     try
-      match hit with
-      | Some e -> serve_hit metrics ~paranoid snap query ~limit e
-      | None -> serve_miss metrics ~paranoid snap cache query ~limit
+      match looked with
+      | Some (Ok e) -> serve_hit metrics ~paranoid snap query ~limit e
+      | Some (Error _) | None -> serve_miss metrics ~paranoid snap cache query ~limit
     with Divergence msg ->
       Metrics.record metrics ~key:"query/paranoid" ~ok:false ~ns:0;
       P.Err (P.Internal, "paranoid divergence: " ^ msg)
@@ -219,11 +227,13 @@ let serve metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ?cache query ~limit =
   let ns = Int64.to_int (Int64.sub (Metrics.monotonic_ns ()) t0) in
   let ok = match resp with P.Query_r _ -> true | _ -> false in
   (* [query/eval] counts only answers that were evaluated to be served *)
-  (match hit with
-  | Some _ -> Metrics.record metrics ~key:"query/cache_hit" ~ok ~ns
-  | None ->
-    if Option.is_some cache then Metrics.record metrics ~key:"query/cache_miss" ~ok ~ns:0;
-    Metrics.record metrics ~key:"query/eval" ~ok ~ns);
+  (match looked with
+  | Some (Ok _) -> Metrics.record metrics ~key:"query/cache_hit" ~ok ~ns
+  | Some (Error why) ->
+    Metrics.record metrics ~key:"query/cache_miss" ~ok ~ns:0;
+    Metrics.record metrics ~key:why ~ok ~ns:0;
+    Metrics.record metrics ~key:"query/eval" ~ok ~ns
+  | None -> Metrics.record metrics ~key:"query/eval" ~ok ~ns);
   (match resp with
   | P.Query_r _ when paranoid -> Metrics.record metrics ~key:"query/paranoid" ~ok:true ~ns:0
   | _ -> ());

@@ -11,15 +11,20 @@
     {b Answer cache.} Each document can keep a bounded {!cache} of
     replies, keyed by query kind, text and clamped limit. An entry holds
     the change history and snapshot revision its answer was taken at,
-    the query's name signature ({!Repro_encoding.Xpath.name_signature},
-    or {!Repro_encoding.Twig.names}) and the reply's total and rows. It
-    answers a later request when {!Repro_encoding.Axis_source.holds}:
-    same history, the served snapshot no older, and either the same
-    revision or no name of the signature stamped since. That is exact:
-    no primitive moves a surviving node, so only an insert, delete,
-    rename or revalue of a node carrying one of those names can change
-    the answer's nodes, order, values or levels — and each stamps the
-    name. A hit replies with the served snapshot's revision. *)
+    the answer's signature ({!Repro_encoding.Xpath.signature} at that
+    snapshot, or {!Repro_encoding.Twig.signature}) and
+    the reply's total and rows. It answers a later request when
+    {!Repro_encoding.Axis_source.holds}: same history, the served
+    snapshot no older, and either the same revision or no stamp of the
+    signature moved since. Signed shapes are name paths, such a path
+    [S] followed by [*], [node()], an attribute step or a sibling step,
+    and [/*/*] and its kin. That is exact: no primitive moves a
+    surviving node, so only an insert, delete, rename or revalue can
+    change the answer's nodes, order, values or levels. One of a node
+    carrying a signed name stamps [Name]; one of a child or attribute of
+    a node whose children the answer reads stamps [Kids] of that node's
+    name; and a parent renamed away stamps [Name] of its old name. A hit
+    replies with the served snapshot's revision. *)
 
 type query = Q_xpath of string | Q_twig of string
 
@@ -57,7 +62,12 @@ val serve :
     too, and a cached reply that differs is answered as
     {!Protocol.err.Internal}. Accounts under the ["query/"] metric keys:
     [query/eval] (evaluations that served, count + latency),
-    [query/cache_hit] (count + latency), [query/cache_miss],
+    [query/cache_hit] (count + latency), [query/cache_miss] (requests
+    a cache could not answer), split into [query/cache_miss_cold] (no
+    entry for the key), [query/cache_miss_unsigned] (an entry without a
+    signature, at another revision) and [query/cache_miss_stale] (a
+    signed entry whose stamps moved — or, rarely, one from another
+    history or a later revision than [snap]),
     [query/cache_mismatch], [query/cache_rows] (rows held by the cache
     stored into last), [query/paranoid], [query/rev_lag] (document
     revisions published after [snap]), [query/pub_age_us] (snapshot age

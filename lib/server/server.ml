@@ -93,12 +93,13 @@ let ns_since t0 =
 (* ---- connections ---------------------------------------------------
 
    A connection is owned by one event-loop domain for reading; writes can
-   come from that loop (reads, direct acks) or from the flusher (parked
-   replies), serialized by [c_send_mu]. The parked-reply bookkeeping
-   ([c_parked]/[c_draining]/[c_closed]) lives under the flusher mutex: a
-   connection that reaches EOF with replies still parked is handed to the
-   flusher, which closes it after the last release — an ack, once owed,
-   is always sent before the socket dies.
+   come from that loop (reads, direct acks), from the flusher (parked
+   replies), from whichever thread runs a deferred mutation, or from a
+   query worker, serialized by [c_send_mu]. A connection that reaches
+   EOF while some decoded frame's reply is still owed ([c_sent] short of
+   [c_next]) is marked draining, and the send that writes the last owed
+   slot closes it — a reply, once owed, is always sent before the
+   socket dies.
 
    Replies leave in request order. Each decoded frame takes the next
    reply slot; a reply ready before its turn (an inline read behind a
@@ -110,15 +111,16 @@ type conn = {
   c_dec : Wire.Decoder.t;
   c_send_mu : Mutex.t;
   mutable c_alive : bool;  (** send side usable; under [c_send_mu] *)
-  mutable c_parked : int;  (** replies owed by the flusher; under [f_mu] *)
   mutable c_inflight : int;
       (** encoded bytes of parked (non-checkpoint) replies owed to this
           connection — the shed bound's input; under [f_mu] *)
   mutable c_draining : bool;
-      (** EOF seen, close after the last release; under [f_mu] *)
-  mutable c_closed : bool;  (** fd closed; under [f_mu] *)
+      (** retired with replies owed, close after the last; under [c_send_mu] *)
+  mutable c_closed : bool;  (** fd closed; under [c_send_mu] *)
   mutable c_last : float;  (** loop-private: last activity, for idle drop *)
-  mutable c_next : int;  (** loop-private: the next decoded frame's reply slot *)
+  mutable c_next : int;
+      (** the next decoded frame's reply slot: loop-private, and frozen
+          once the loop retires the connection *)
   mutable c_sent : int;  (** the next slot to write; under [c_send_mu] *)
   c_held : (int, P.resp) Hashtbl.t;  (** replies ahead of their turn; under [c_send_mu] *)
 }
@@ -533,49 +535,6 @@ let doc_name_ok name =
    which the journal spells [max_int] (never self-fsync) *)
 let journal_fsync_every cfg = if cfg.fsync_every <= 0 then max_int else cfg.fsync_every
 
-(* ---- sending -------------------------------------------------------- *)
-
-(* Send the reply for [slot], or hold it until every earlier slot's reply
-   has gone. A slot's first reply is the one that counts. *)
-let send_resp t conn slot resp =
-  let write resp =
-    if conn.c_alive then
-      match Wire.send_frame t.cfg.sock conn.c_fd (P.encode_resp resp) with
-      | () -> ()
-      | exception Io.Io_error { reason; _ } ->
-        conn.c_alive <- false;
-        t.cfg.log ("conn send: " ^ reason)
-  in
-  let rec drain () =
-    match Hashtbl.find_opt conn.c_held conn.c_sent with
-    | Some resp ->
-      Hashtbl.remove conn.c_held conn.c_sent;
-      write resp;
-      conn.c_sent <- conn.c_sent + 1;
-      drain ()
-    | None -> ()
-  in
-  Mutex.protect conn.c_send_mu (fun () ->
-      if slot < conn.c_sent || Hashtbl.mem conn.c_held slot then ()
-      else if slot > conn.c_sent then Hashtbl.replace conn.c_held slot resp
-      else begin
-        write resp;
-        conn.c_sent <- slot + 1;
-        drain ()
-      end)
-
-let record t ?doc cls ~ok ~ns =
-  Metrics.record t.metrics ~key:("req/" ^ cls) ~ok ~ns;
-  match doc with
-  | Some d -> Metrics.record t.metrics ~key:(Printf.sprintf "doc/%s/%s" d cls) ~ok ~ns
-  | None -> ()
-
-(* record the request's metrics and send its reply *)
-let respond t conn slot ?doc cls t0 resp =
-  let ok = match resp with P.Err _ -> false | _ -> true in
-  record t ?doc cls ~ok ~ns:(ns_since t0);
-  send_resp t conn slot resp
-
 (* ---- connection accounting ------------------------------------------ *)
 
 let conn_acquire t =
@@ -610,32 +569,86 @@ let conn_finish t conn =
   Condition.broadcast t.conns_cond;
   Mutex.unlock t.conns_mu
 
-(* Kill the send side before the fd is closed: a job deferred through the
-   combining lock can still hold this [conn] record, and once the fd is
-   recycled by [accept] a late [send_resp] through it would write the dead
-   connection's reply into an unrelated one. Marking [c_alive] under
-   [c_send_mu] makes the late send a silent no-op instead. *)
-let kill_conn t conn =
-  Mutex.lock conn.c_send_mu;
-  conn.c_alive <- false;
-  Mutex.unlock conn.c_send_mu;
-  try t.cfg.sock.Io.s_close conn.c_fd with Io.Io_error _ -> ()
+(* ---- sending -------------------------------------------------------- *)
 
-(* Close now, or hand off to the flusher when replies are still owed. The
-   accept slot is released only at the actual close. *)
-let retire t conn =
-  Mutex.lock t.f_mu;
-  if conn.c_closed then Mutex.unlock t.f_mu
-  else if conn.c_parked > 0 then begin
-    conn.c_draining <- true;
-    Mutex.unlock t.f_mu
-  end
-  else begin
-    conn.c_closed <- true;
-    Mutex.unlock t.f_mu;
-    kill_conn t conn;
+(* Close [conn] once, killing the send side first: a job deferred through
+   the combining lock can still hold this [conn] record, and once the fd
+   is recycled by [accept] a late [send_resp] through it would write the
+   dead connection's reply into an unrelated one. The accept slot is
+   released only here. *)
+let close_conn t conn =
+  let first =
+    Mutex.protect conn.c_send_mu (fun () ->
+        let first = not conn.c_closed in
+        conn.c_closed <- true;
+        conn.c_alive <- false;
+        first)
+  in
+  if first then begin
+    (try t.cfg.sock.Io.s_close conn.c_fd with Io.Io_error _ -> ());
     conn_finish t conn
   end
+
+(* Send the reply for [slot], or hold it until every earlier slot's reply
+   has gone. A slot's first reply is the one that counts. The send that
+   writes a draining connection's last owed slot closes it. *)
+let send_resp t conn slot resp =
+  let write resp =
+    if conn.c_alive then
+      match Wire.send_frame t.cfg.sock conn.c_fd (P.encode_resp resp) with
+      | () -> ()
+      | exception Io.Io_error { reason; _ } ->
+        conn.c_alive <- false;
+        t.cfg.log ("conn send: " ^ reason)
+  in
+  let rec drain () =
+    match Hashtbl.find_opt conn.c_held conn.c_sent with
+    | Some resp ->
+      Hashtbl.remove conn.c_held conn.c_sent;
+      write resp;
+      conn.c_sent <- conn.c_sent + 1;
+      drain ()
+    | None -> ()
+  in
+  let last =
+    Mutex.protect conn.c_send_mu (fun () ->
+        if slot < conn.c_sent || Hashtbl.mem conn.c_held slot then false
+        else if slot > conn.c_sent then begin
+          Hashtbl.replace conn.c_held slot resp;
+          false
+        end
+        else begin
+          write resp;
+          conn.c_sent <- slot + 1;
+          drain ();
+          conn.c_draining && conn.c_sent = conn.c_next
+        end)
+  in
+  if last then close_conn t conn
+
+let record t ?doc cls ~ok ~ns =
+  Metrics.record t.metrics ~key:("req/" ^ cls) ~ok ~ns;
+  match doc with
+  | Some d -> Metrics.record t.metrics ~key:(Printf.sprintf "doc/%s/%s" d cls) ~ok ~ns
+  | None -> ()
+
+(* record the request's metrics and send its reply *)
+let respond t conn slot ?doc cls t0 resp =
+  let ok = match resp with P.Err _ -> false | _ -> true in
+  record t ?doc cls ~ok ~ns:(ns_since t0);
+  send_resp t conn slot resp
+
+(* Called by the loop once it reads nothing more from [conn]: close now
+   if every decoded frame has its reply out, else leave the close to the
+   send of the last owed slot — a parked ack, a deferred mutation's reply
+   or anything held behind them. *)
+let retire t conn =
+  let owed =
+    Mutex.protect conn.c_send_mu (fun () ->
+        conn.c_draining <- conn.c_sent < conn.c_next;
+        conn.c_draining)
+  in
+  if not owed then close_conn t conn
 
 (* ---- flusher signalling ---------------------------------------------- *)
 
@@ -663,7 +676,6 @@ let park ?pos t d conn slot resp =
   Queue.push
     { pk_conn = conn; pk_slot = slot; pk_resp = resp; pk_pos = pos; pk_bytes = bytes }
     d.d_parked;
-  conn.c_parked <- conn.c_parked + 1;
   conn.c_inflight <- conn.c_inflight + bytes;
   if t.f_pending = 0 then t.f_first <- Unix.gettimeofday ();
   t.f_pending <- t.f_pending + 1;
@@ -674,23 +686,10 @@ let park ?pos t d conn slot resp =
 let park_ckpt t d conn slot =
   Mutex.lock t.f_mu;
   d.d_ckpt_waiters <- (conn, slot) :: d.d_ckpt_waiters;
-  conn.c_parked <- conn.c_parked + 1;
   enroll t d;
   wake_flusher t;
   Mutex.unlock t.f_mu
 
-(* send a released reply, closing a draining connection after its last one *)
-let deliver t conn slot resp =
-  send_resp t conn slot resp;
-  Mutex.lock t.f_mu;
-  conn.c_parked <- conn.c_parked - 1;
-  let close_now = conn.c_draining && conn.c_parked = 0 && not conn.c_closed in
-  if close_now then conn.c_closed <- true;
-  Mutex.unlock t.f_mu;
-  if close_now then begin
-    kill_conn t conn;
-    conn_finish t conn
-  end
 
 (* ---- the exactly-once dedup window ----------------------------------
 
@@ -1457,7 +1456,10 @@ let rec pump t ls conn =
     | true -> Busy
     | false -> pump t ls conn
     | exception e ->
+      (* the frame took its slot first: answer it, or every later reply
+         waits behind it and the connection never drains *)
       t.cfg.log ("conn: " ^ Printexc.to_string e);
+      send_resp t conn (conn.c_next - 1) (P.Err (P.Internal, Printexc.to_string e));
       pump t ls conn)
 
 (* Service one readable connection: read what the socket has, feed the
@@ -1599,7 +1601,7 @@ let release_covered t d =
   t.f_pending <- t.f_pending - List.length released;
   if t.f_pending > 0 then t.f_first <- Unix.gettimeofday ();
   Mutex.unlock t.f_mu;
-  List.iter (fun pk -> deliver t pk.pk_conn pk.pk_slot pk.pk_resp) released;
+  List.iter (fun pk -> send_resp t pk.pk_conn pk.pk_slot pk.pk_resp) released;
   List.length released
 
 (* Coalesced checkpoint of one document, under the doc lock (deferred
@@ -1615,7 +1617,7 @@ let checkpoint_doc t d =
       in
       if d.d_closed then
         List.iter
-          (fun (conn, slot) -> deliver t conn slot (P.Err (P.Shutting_down, "document is closing")))
+          (fun (conn, slot) -> send_resp t conn slot (P.Err (P.Shutting_down, "document is closing")))
           waiters
       else begin
         let due = waiters <> [] || auto_ckpt_due t d in
@@ -1636,7 +1638,7 @@ let checkpoint_doc t d =
             | exception Io.Io_error { op; reason; _ } ->
               P.Err (P.Internal, op ^ ": " ^ reason)
         in
-        List.iter (fun (conn, slot) -> deliver t conn slot resp) waiters;
+        List.iter (fun (conn, slot) -> send_resp t conn slot resp) waiters;
         (* the epoch advance covers everything parked before it *)
         if due then ignore (release_covered t d)
       end)
@@ -2004,7 +2006,6 @@ let accept_loop t =
                      c_dec = Wire.Decoder.create ();
                      c_send_mu = Mutex.create ();
                      c_alive = true;
-                     c_parked = 0;
                      c_inflight = 0;
                      c_draining = false;
                      c_closed = false;
@@ -2202,12 +2203,12 @@ let close_docs_graceful t =
       Mutex.unlock t.f_mu;
       List.iter
         (fun pk ->
-          deliver t pk.pk_conn pk.pk_slot (P.Err (P.Shutting_down, "server stopped before fsync")))
+          send_resp t pk.pk_conn pk.pk_slot (P.Err (P.Shutting_down, "server stopped before fsync")))
         orphans;
       d.d_closed <- true;
       (try Durable_session.checkpoint d.d_durable with Io.Io_error _ -> ());
       List.iter
-        (fun (conn, slot) -> deliver t conn slot (P.Checkpointed (Journal.epoch (journal_of d))))
+        (fun (conn, slot) -> send_resp t conn slot (P.Checkpointed (Journal.epoch (journal_of d))))
         waiters;
       try Durable_session.close d.d_durable with Io.Io_error _ -> ())
     t.docs
@@ -2216,21 +2217,7 @@ let close_remaining_conns t =
   Mutex.lock t.conns_mu;
   let left = t.live_conns in
   Mutex.unlock t.conns_mu;
-  List.iter
-    (fun c ->
-      let close_now =
-        Mutex.protect t.f_mu (fun () ->
-            if c.c_closed then false
-            else begin
-              c.c_closed <- true;
-              true
-            end)
-      in
-      if close_now then begin
-        kill_conn t c;
-        conn_finish t c
-      end)
-    left
+  List.iter (close_conn t) left
 
 let stop_core t =
   trigger_core t;

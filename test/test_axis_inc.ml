@@ -180,8 +180,49 @@ let renumbering_stamps_nothing () =
       Alcotest.(check int) (name ^ " keeps its stamp") (Axis_inc.changed_at before name)
         (Axis_inc.changed_at after name))
     [ "r"; "a"; "b"; "c"; "d" ];
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " keeps its children's stamp")
+        (Axis_inc.kids_changed_at before name) (Axis_inc.kids_changed_at after name))
+    [ "r"; "b"; "c"; "d" ];
   Alcotest.(check int) "the inserted name is stamped at the last insert" (Axis_inc.rev after)
     (Axis_inc.changed_at after "u");
+  Axis_inc.detach inc
+
+(* Every primitive stamps the children of the parent it acts under, at
+   the new revision, and no other name's stamps. *)
+let kids_stamps_follow_primitives () =
+  let doc = Repro_xml.Parser.parse "<r><p><a/><b>v</b></p><q><c/></q></r>" in
+  let inc = Axis_inc.create doc in
+  let stamps snap name = (Axis_inc.changed_at snap name, Axis_inc.kids_changed_at snap name) in
+  let primitive what ~parent ~unrelated f =
+    let before = Axis_inc.snapshot inc in
+    f ();
+    let after = Axis_inc.snapshot inc in
+    Alcotest.(check bool) (what ^ ": a new revision") true (Axis_inc.rev after > Axis_inc.rev before);
+    Alcotest.(check int) (what ^ ": " ^ parent ^ "'s children stamped") (Axis_inc.rev after)
+      (Axis_inc.kids_changed_at after parent);
+    List.iter
+      (fun name ->
+        Alcotest.(check (pair int int)) (what ^ ": " ^ name ^ " keeps its stamps")
+          (stamps before name) (stamps after name))
+      unrelated
+  in
+  primitive "element insert" ~parent:"p" ~unrelated:[ "r"; "a"; "b"; "q"; "c" ] (fun () ->
+      ignore (Tree.insert_after doc (find doc "a") (Tree.elt "n" [])));
+  primitive "attribute insert" ~parent:"p" ~unrelated:[ "r"; "a"; "q"; "c" ] (fun () ->
+      ignore (Tree.insert_first_child doc (find doc "p") (Tree.attr "k" "1")));
+  primitive "attribute revalue" ~parent:"p" ~unrelated:[ "r"; "a"; "b"; "q"; "c" ] (fun () ->
+      Tree.set_value doc (find doc "k") (Some "2"));
+  primitive "element revalue" ~parent:"p" ~unrelated:[ "r"; "a"; "k"; "q"; "c" ] (fun () ->
+      Tree.set_value doc (find doc "b") (Some "w"));
+  primitive "rename" ~parent:"p" ~unrelated:[ "r"; "b"; "k"; "q"; "c" ] (fun () ->
+      Tree.rename doc (find doc "a") "a2");
+  primitive "delete" ~parent:"p" ~unrelated:[ "r"; "a2"; "k"; "q"; "c" ] (fun () ->
+      Tree.delete doc (find doc "b"));
+  primitive "root-child rename" ~parent:"r" ~unrelated:[ "p"; "a2"; "k"; "c" ] (fun () ->
+      Tree.rename doc (find doc "q") "q2");
+  (match Axis_inc.verify inc with Ok () -> () | Error msg -> Alcotest.fail msg);
   Axis_inc.detach inc
 
 (* The batch index keeps no history, so nothing it answers is ever kept. *)
@@ -224,6 +265,7 @@ let suite =
       `Quick,
       value_change_forces_reevaluation );
     ("renumbering a rank window stamps nothing", `Quick, renumbering_stamps_nothing);
+    ("every primitive stamps its parent's children", `Quick, kids_stamps_follow_primitives);
     ("of_index never skips", `Quick, of_index_never_skips);
     ("the stamp map stays bounded by the live names", `Quick, stamps_stay_bounded);
   ]

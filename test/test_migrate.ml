@@ -179,11 +179,9 @@ let axis_inc_survives_storm () =
 module Survival = Repro_migrate.Mig_survival
 module Prng = Repro_codes.Prng
 
-(* Shapes the name-signature rule leaves out ride along: a step must
-   re-evaluate them every time. *)
-let unsigned_queries =
-  [ "//*"; "//item/following-sibling::entry"; "//@id"; "//section[@kind]"; "/*//field";
-    "//group/node()" ]
+(* Shapes no signature covers ride along: a step must re-evaluate them
+   every time. *)
+let unsigned_queries = [ "//*"; "//@id"; "//section[@kind]"; "/*//field" ]
 
 (* Positional, counting and value-comparing predicates over name paths
    have signatures too: the storm checks every answer they keep. *)
@@ -193,6 +191,21 @@ let signed_queries =
     ("//list[count(item) > 0]", [ "item"; "list" ]);
     ("//section[not(field) or position() = last()]", [ "field"; "section" ]);
     ("//group//record[1]", [ "group"; "record" ]) ]
+
+(* Wildcard, attribute and sibling steps after a name path are signed
+   by the children's stamps of the names involved; a sibling signature
+   names the parents of the context nodes at the snapshot. Expected
+   stamps at [signature_doc], "name" for a [Name] and "name/" for a
+   [Kids] stamp. *)
+let snapshot_signed_queries =
+  [ ("//item/following-sibling::entry",
+      [ "doc"; "doc/"; "entry"; "group"; "group/"; "item"; "list"; "list/" ]);
+    ("//group/node()", [ "group"; "group/" ]);
+    ("//group/@*", [ "group"; "group/" ]);
+    ("/*/*", [ "doc"; "doc/" ]) ]
+
+let signature_doc =
+  "<doc><list><item/><entry/></list><group id='g'><item/><entry/></group><item/></doc>"
 
 (* A seeded storm over a fresh document: plain primitives through the
    journal resolver — inserts of pooled names, deletes, renames (the
@@ -242,7 +255,8 @@ let storm scheme seed setup =
 
 let storm_pool seed doc =
   Survival.pool ~seed ~count:12 doc
-  @ List.map Survival.parse_xpath (unsigned_queries @ List.map fst signed_queries)
+  @ List.map Survival.parse_xpath
+      (unsigned_queries @ List.map fst signed_queries @ List.map fst snapshot_signed_queries)
   @ [ Survival.parse_twig "section[field//meta]" ]
 
 (* The survival pool stepped after every operation with the full
@@ -273,18 +287,27 @@ let survival_skips () =
   check Alcotest.int "no stale kept answer" 0 t.Survival.mismatches;
   check Alcotest.bool "some answers kept unevaluated" true (t.Survival.skipped > 0);
   check Alcotest.bool "some answers re-evaluated" true (t.Survival.evaluated > 0);
+  let doc = Repro_xml.Parser.parse signature_doc in
+  let inc = Repro_encoding.Axis_inc.create doc in
+  let src = Repro_encoding.Axis_inc.source (Repro_encoding.Axis_inc.snapshot inc) in
+  let signature q =
+    Option.map
+      (List.map (function
+        | Repro_encoding.Axis_source.Name n -> n
+        | Repro_encoding.Axis_source.Kids n -> n ^ "/"))
+      (Repro_encoding.Xpath.signature src (Repro_encoding.Xpath.parse q))
+  in
   List.iter
-    (fun q ->
-      check Alcotest.bool (q ^ " has no name signature") true
-        (Repro_encoding.Xpath.name_signature (Repro_encoding.Xpath.parse q) = None))
+    (fun q -> check Alcotest.(option (list string)) (q ^ " has no signature") None (signature q))
     unsigned_queries;
   List.iter
-    (fun (q, names) ->
+    (fun (q, stamps) ->
       check
         Alcotest.(option (list string))
-        (q ^ " signature") (Some names)
-        (Repro_encoding.Xpath.name_signature (Repro_encoding.Xpath.parse q)))
-    signed_queries
+        (q ^ " signature") (Some stamps)
+        (Option.map (List.sort String.compare) (signature q)))
+    (signed_queries @ snapshot_signed_queries);
+  Repro_encoding.Axis_inc.detach inc
 
 (* ---- the wire path ---------------------------------------------------- *)
 
@@ -437,6 +460,8 @@ let cache_storm scheme seed =
             | Survival.Q_xpath (s, _) -> Qe.Q_xpath s | Survival.Q_twig (s, _) -> Qe.Q_twig s)
           (storm_pool seed doc)
         @ [ Qe.Q_xpath "//record[2]"; Qe.Q_xpath "//group/@*"; Qe.Q_xpath "/*/*";
+            Qe.Q_xpath "//item/following-sibling::*"; Qe.Q_xpath "//item/preceding-sibling::*";
+            Qe.Q_xpath "//group/*"; Qe.Q_xpath "//list/node()";
             Qe.Q_twig "entry[field][//meta]" ]
       in
       fun () ->
@@ -498,6 +523,55 @@ let cache_older_snapshot () =
   check Alcotest.int "and answered from the cache" 1 (count metrics "query/cache_hit");
   Axis_inc.detach inc
 
+(* Each of these mutations changes the children or siblings a signed
+   answer reads, so it must move a stamp of the signature and miss as
+   stale; the reply served afterwards is a fresh evaluation's. A
+   mutation elsewhere keeps the entry; an unsigned one misses at every
+   new revision. *)
+let cache_misses_when_kids_change () =
+  let doc =
+    Repro_xml.Parser.parse
+      "<doc><p><item/><entry/></p><group id='g'><item/></group><other><x/></other></doc>"
+  in
+  let inc = Axis_inc.create doc in
+  let metrics = Repro_server.Metrics.create () in
+  let cache = Qe.cache () in
+  let node name =
+    List.find (fun n -> n.Tree.name = name) (Array.to_list (Tree.preorder_array doc))
+  in
+  let served q =
+    let snap = Axis_inc.snapshot inc in
+    check Alcotest.bool "the reply equals a fresh evaluation" true
+      (serve ~cache metrics inc snap q ~limit:32 = serve metrics inc snap q ~limit:32)
+  in
+  (* [miss] is the cause the miss must be counted under, if any *)
+  let expect what ?miss q mutate =
+    served q;
+    let misses () = List.map (count metrics) ("query/cache_miss" :: Option.to_list miss) in
+    let before = misses () in
+    mutate ();
+    served q;
+    List.iter2
+      (fun b a -> check Alcotest.int what (Bool.to_int (miss <> None)) (a - b))
+      before (misses ())
+  in
+  let stale = "query/cache_miss_stale" in
+  let siblings = Qe.Q_xpath "//item/following-sibling::*" in
+  let attributes = Qe.Q_xpath "//group/@*" in
+  expect "an insert under an unrelated parent hits" siblings (fun () ->
+      ignore (Tree.insert_last_child doc (node "other") (Tree.elt "y" [])));
+  expect "an element inserted after an item misses" ~miss:stale siblings (fun () ->
+      ignore (Tree.insert_after doc (node "item") (Tree.elt "fresh" [])));
+  expect "a rename of the items' parent misses" ~miss:stale siblings (fun () ->
+      Tree.rename doc (node "p") "q");
+  expect "an unrelated revalue hits" attributes (fun () -> Tree.set_value doc (node "x") (Some "v"));
+  expect "a group attribute revalued misses" ~miss:stale attributes (fun () ->
+      Tree.set_value doc (node "id") (Some "h"));
+  expect "an unsigned answer misses at a new revision" ~miss:"query/cache_miss_unsigned"
+    (Qe.Q_xpath "//*") (fun () -> Tree.set_value doc (node "x") (Some "w"));
+  check Alcotest.int "one cold miss per text" 3 (count metrics "query/cache_miss_cold");
+  Axis_inc.detach inc
+
 (* Distinct query texts evict, they do not grow the cache past its
    bounds: neither in entries nor in rows. *)
 let cache_stays_bounded () =
@@ -544,4 +618,5 @@ let suite =
     Alcotest.test_case "an older snapshot neither hits nor overwrites" `Quick
       cache_older_snapshot;
     Alcotest.test_case "distinct texts cannot grow the cache" `Quick cache_stays_bounded;
+    Alcotest.test_case "a change to the children read misses" `Quick cache_misses_when_kids_change;
   ]

@@ -784,6 +784,118 @@ let parked_ack_keeps_order () =
                 ("xpath", function P.Query_r q -> q.P.qy_total = round | _ -> false) ]
           done))
 
+(* A client that pipelines a mutation and a read, then half-closes its
+   send side, is owed both replies. The mutation is deferred to the
+   document lock's holder — an explicit checkpoint held inside its
+   snapshot write by a gate in the file-IO seam — so when the loop reads
+   EOF no reply is out and none is parked yet. *)
+let half_close_keeps_owed_replies () =
+  let root = fresh_root () in
+  let poll what flag =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while not (Atomic.get flag) do
+      if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting for %s" what;
+      Thread.delay 0.001
+    done
+  in
+  let armed = Atomic.make false and blocked = Atomic.make false and gate = Atomic.make false in
+  let is_snapshot path =
+    let n = String.length path in
+    let rec at i = i + 5 <= n && (String.sub path i 5 = ".snap" || at (i + 1)) in
+    at 0
+  in
+  let real = Repro_io.Io.real in
+  let io =
+    {
+      real with
+      Repro_io.Io.open_file =
+        (fun path mode ->
+          let f = real.Repro_io.Io.open_file path mode in
+          if Atomic.get armed && is_snapshot path then
+            {
+              f with
+              Repro_io.Io.f_write =
+                (fun data ->
+                  Atomic.set blocked true;
+                  poll "the gate" gate;
+                  f.Repro_io.Io.f_write data);
+            }
+          else f);
+    }
+  in
+  (* the loop polls again only after retiring what it read EOF from *)
+  let eof = Atomic.make false and retired = Atomic.make false in
+  let sock =
+    {
+      Repro_io.Io.real_sock with
+      Repro_io.Io.s_recv =
+        (fun fd buf off len ->
+          let n = Repro_io.Io.real_sock.Repro_io.Io.s_recv fd buf off len in
+          if n = 0 then Atomic.set eof true;
+          n);
+      s_select =
+        (fun fds timeout ->
+          if Atomic.get eof then Atomic.set retired true;
+          Repro_io.Io.real_sock.Repro_io.Io.s_select fds timeout);
+    }
+  in
+  let t =
+    Server.start { (Server.default_config ~root) with checkpoint_min_records = 0; io; sock }
+  in
+  let frames reqs =
+    String.concat "" (List.map (fun r -> Repro_server.Wire.frame (P.encode_req r)) reqs)
+  in
+  let reply reader what =
+    match Repro_server.Wire.recv_frame reader with
+    | Repro_server.Wire.Frame payload -> (
+      match P.decode_resp payload with
+      | Ok resp -> resp
+      | Error e -> Alcotest.failf "undecodable %s reply: %s" what e)
+    | _ -> Alcotest.failf "no %s reply" what
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set gate true;
+      ignore (Server.stop t);
+      rm_rf root)
+    (fun () ->
+      let holder, holder_reader = connect_raw t in
+      let writer, writer_reader = connect_raw t in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close holder;
+          Unix.close writer)
+        (fun () ->
+          send_all holder
+            (frames [ P.Open { o_doc = "half"; o_scheme = "QED"; o_nodes = 40; o_seed = 3 } ]);
+          let root_l =
+            match reply holder_reader "open" with
+            | P.Opened { ok_root; _ } ->
+              { Oplog.l_bytes = ok_root.P.l_bytes; l_bits = ok_root.P.l_bits }
+            | _ -> Alcotest.fail "open did not answer Opened"
+          in
+          Atomic.set armed true;
+          send_all holder (frames [ P.Checkpoint "half" ]);
+          poll "the checkpoint to block" blocked;
+          send_all writer
+            (frames
+               [ P.Update
+                   { u_doc = "half"; u_client = ""; u_seq = 0;
+                     u_ops = [ Oplog.Insert_last (root_l, Tree.elt "late" []) ] };
+                 P.Ping ]);
+          Unix.shutdown writer Unix.SHUTDOWN_SEND;
+          poll "the loop to retire the half-closed connection" retired;
+          Atomic.set gate true;
+          (match reply writer_reader "update" with
+          | P.Updated _ -> ()
+          | _ -> Alcotest.fail "the update was not answered Updated");
+          (match reply writer_reader "ping" with
+          | P.Pong _ -> ()
+          | _ -> Alcotest.fail "the ping was not answered Pong");
+          match reply holder_reader "checkpoint" with
+          | P.Checkpointed _ -> ()
+          | _ -> Alcotest.fail "the checkpoint was not answered Checkpointed"))
+
 (* A paranoid [//*] over a few thousand nodes re-derives every row through
    the scan evaluator: slow enough to still be on its worker when the
    server is told to stop. *)
@@ -861,6 +973,7 @@ let suite =
     Alcotest.test_case "pipelined replies keep request order" `Quick
       pipelined_replies_keep_order;
     Alcotest.test_case "a parked ack keeps its place" `Quick parked_ack_keeps_order;
+    Alcotest.test_case "a half-close keeps the replies owed" `Quick half_close_keeps_owed_replies;
     Alcotest.test_case "stop with a query in flight" `Quick
       (shutdown_with_query_in_flight ~abort:false);
     Alcotest.test_case "abort with a query in flight" `Quick
