@@ -1,4 +1,4 @@
-.PHONY: all build test bench-smoke bench-hotpath torture-smoke server-smoke failover-smoke cluster-smoke nettorture-smoke query-smoke migrate-smoke check clean
+.PHONY: all build test loc bench-smoke bench-hotpath torture-smoke server-smoke failover-smoke cluster-smoke nettorture-smoke query-smoke migrate-smoke check clean
 
 all: build
 
@@ -7,6 +7,13 @@ build:
 
 test:
 	dune runtest
+
+# Net line count of the OCaml sources (.ml/.mli) under lib, bin, bench,
+# test and perfbench: one total, the figure a change that deletes code
+# reports.
+loc:
+	@find lib bin bench test perfbench \( -name '*.ml' -o -name '*.mli' \) -print0 \
+	  | xargs -0 cat | wc -l
 
 # A fast end-to-end proof that the parallel evaluation runtime works and
 # stays byte-identical to the sequential path: the Figure 7 section on two
@@ -17,10 +24,10 @@ bench-smoke: build
 	dune exec bin/xmlrepro.exe -- matrix --jobs 2 > _build/matrix-par.out
 	diff _build/matrix-seq.out _build/matrix-par.out
 
-# The measurement hot path benchmark: legacy vs incremental statistics on
-# one build, asserting byte-identical observable output for every kernel
-# and running the paranoid cross-check over the whole registry. Writes
-# BENCH_hotpath.json and exits non-zero if any kernel's outputs diverge.
+# The measurement hot path benchmark: times the incremental-statistics
+# kernels and runs the paranoid cross-check over the whole registry.
+# Writes BENCH_hotpath.json and exits non-zero if the order check fails
+# or any tracked statistic diverges from its recomputation.
 bench-hotpath: build
 	dune exec bench/main.exe -- hotpath
 
@@ -61,10 +68,9 @@ cluster-smoke: build
 
 # Network-fault torture smoke: the exactly-once update path with a
 # deterministic fault (drop/reset/truncate/partition/delay) injected at a
-# sampled set of socket-syscall coordinates, on both server cores, plus
-# the dedup-disabled negative control and the crash-recovery dedup check.
-# Exits non-zero on any double- or lost-apply, or if the control fails to
-# catch doubles.
+# sampled set of socket-syscall coordinates, plus the dedup-disabled
+# negative control and the crash-recovery dedup check. Exits non-zero on
+# any double- or lost-apply, or if the control fails to catch doubles.
 nettorture-smoke: build
 	dune exec bin/xmlrepro.exe -- nettorture --ops 8 --seeds 1 --points 120
 

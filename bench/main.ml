@@ -13,8 +13,8 @@
    (results are identical at any N). Machine-readable outputs:
    BENCH_matrix.json and BENCH_claims.json (per-section wall-clock and
    agreement, the repo's perf baseline), BENCH_parallel.json (sequential
-   vs parallel speedup curves), BENCH_hotpath.json (incremental vs legacy
-   measurement-path speedups and allocation), BENCH_journal.json (append
+   vs parallel speedup curves), BENCH_hotpath.json (measurement-path
+   kernel timings and allocation), BENCH_journal.json (append
    ops/sec and recovery ms per checkpoint interval, per scheme) and
    BENCH_torture.json (crash-consistency coverage: boundaries, images,
    recoveries, violations), BENCH_server.json (loopback server
@@ -204,93 +204,63 @@ let run_parallel () =
   write_json "BENCH_parallel.json" (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
-(* Hot path: incremental statistics vs the legacy measurement walks    *)
+(* Hot path: the incremental measurement path                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The before/after of the incremental-statistics rework, measured on one
-   build: [Core.Session.legacy_hot_path] routes the statistics reads, the
-   order-consistency check and the workload node pickers through the
-   pre-cache O(n)-per-sample implementations, kept verbatim for exactly
-   this purpose. Every kernel runs under both modes and must produce
-   byte-identical observable results — a speedup is only admissible when
-   nothing measurable changed. A closing paranoid sweep re-derives the
-   tracked counters from a full recomputation at every statistics read for
-   every registered scheme. *)
-
-type hot_side = { h_seconds : float; h_ops_per_sec : float; h_alloc_mb : float }
+(* Timings of the measurement path: incrementally tracked statistics,
+   the materialised-label order check and the snapshot node pickers.
+   That these agree with the O(n)-per-sample forms they replaced is a
+   tier-1 verdict (test_session_stats, test_workload and test_algebra
+   hold each one against a test-local reference). Here the order check must
+   pass, and a closing paranoid sweep re-derives the tracked counters
+   from a full recomputation at every statistics read for every
+   registered scheme. *)
 
 type hot_kernel = {
   k_name : string;
   k_ops : int;
-  k_legacy : hot_side;
-  k_incremental : hot_side;
-  k_identical : bool;
+  k_seconds : float;
+  k_ops_per_sec : float;
+  k_alloc_mb : float;
 }
 
-let hot_speedup k =
-  if k.k_incremental.h_seconds > 0.0 then k.k_legacy.h_seconds /. k.k_incremental.h_seconds
-  else 0.0
-
-(* [f] returns a rendering of everything the kernel observed; the two
-   modes are compared on that string. Allocation is the kernel's drain on
-   [Gc.allocated_bytes] (all minor-heap traffic, promoted or not). *)
+(* Allocation is the kernel's drain on [Gc.allocated_bytes] (all
+   minor-heap traffic, promoted or not). *)
 let hot_run ~name ~ops f =
-  let measure legacy =
-    Core.Session.legacy_hot_path := legacy;
-    Fun.protect
-      ~finally:(fun () -> Core.Session.legacy_hot_path := false)
-      (fun () ->
-        let a0 = Gc.allocated_bytes () in
-        let v, seconds = time f in
-        let alloc = Gc.allocated_bytes () -. a0 in
-        ( v,
-          {
-            h_seconds = seconds;
-            h_ops_per_sec = (if seconds > 0.0 then float_of_int ops /. seconds else 0.0);
-            h_alloc_mb = alloc /. 1048576.0;
-          } ))
-  in
-  let legacy_v, legacy = measure true in
-  let incr_v, incremental = measure false in
-  {
-    k_name = name;
-    k_ops = ops;
-    k_legacy = legacy;
-    k_incremental = incremental;
-    k_identical = String.equal legacy_v incr_v;
-  }
-
-let hot_sample_render (s : Runner.sample) =
-  (* every field except the wall-clock one *)
-  Printf.sprintf "%d/%d/%d/%.6f/%d/%d/%d" s.Runner.ops_done s.nodes s.total_bits
-    s.avg_bits s.max_bits s.relabelled s.overflow
+  let a0 = Gc.allocated_bytes () in
+  let v, seconds = time f in
+  let alloc = Gc.allocated_bytes () -. a0 in
+  ( v,
+    {
+      k_name = name;
+      k_ops = ops;
+      k_seconds = seconds;
+      k_ops_per_sec = (if seconds > 0.0 then float_of_int ops /. seconds else 0.0);
+      k_alloc_mb = alloc /. 1048576.0;
+    } )
 
 (* Kernel 1 — dense workload sampling: a 600-op uniform-random workload
-   over a 300-node base document, sampled after every operation. The
-   legacy side pays three-plus preorder walks per sample and a
-   list-materialising node picker per operation. *)
+   over a 300-node base document, sampled after every operation. *)
 let hotpath_sampling () =
   let ops = 600 in
   let pack = Option.get (Repro_schemes.Registry.find "QED") in
-  hot_run ~name:"workload-sampling" ~ops (fun () ->
-      let samples =
-        Runner.series pack
-          ~make_doc:(fun () ->
-            Docgen.generate ~seed:7 { Docgen.default_shape with target_nodes = 300 })
-          ~pattern:Updates.Uniform_random ~seed:7 ~ops ~sample_every:1
-      in
-      String.concat ";" (List.map hot_sample_render samples))
+  snd
+    (hot_run ~name:"workload-sampling" ~ops (fun () ->
+         ignore
+           (Runner.series pack
+              ~make_doc:(fun () ->
+                Docgen.generate ~seed:7 { Docgen.default_shape with target_nodes = 300 })
+              ~pattern:Updates.Uniform_random ~seed:7 ~ops ~sample_every:1)))
 
 (* Kernel 2 — the full sequential evaluation matrix, whose assays lean on
    the runner, the order check and the label cache. *)
 let hotpath_matrix () =
-  hot_run ~name:"matrix-j1" ~ops:1 (fun () ->
-      Repro_framework.Matrix.render (Repro_framework.Matrix.compute ~jobs:1 ()))
+  snd
+    (hot_run ~name:"matrix-j1" ~ops:1 (fun () ->
+         ignore (Repro_framework.Matrix.render (Repro_framework.Matrix.compute ~jobs:1 ()))))
 
 (* Kernel 3 — the all-pairs order-consistency check over a grown document,
-   repeated; per pair the legacy side makes two label lookups through a
-   closure, the incremental side compares cells of one materialised label
-   array. *)
+   repeated: cells of one materialised label array compared pairwise. *)
 let hotpath_order () =
   let reps = 5 in
   let pack = Option.get (Repro_schemes.Registry.find "QED") in
@@ -302,7 +272,7 @@ let hotpath_order () =
       for _ = 1 to reps do
         ok := !ok && Core.Session.order_consistent ~all_pairs:true session
       done;
-      string_of_bool !ok)
+      !ok)
 
 (* Mixed inserts and deletes under every registered scheme with the
    cross-check on: each sampled read compares the tracked counters against
@@ -328,27 +298,26 @@ let hotpath_paranoid () =
         Repro_schemes.Registry.all;
       List.length Repro_schemes.Registry.all)
 
-let hot_side_json s =
-  Printf.sprintf "{\"seconds\": %.4f, \"ops_per_sec\": %.2f, \"allocated_mb\": %.2f}"
-    s.h_seconds s.h_ops_per_sec s.h_alloc_mb
-
 let run_hotpath () =
-  section "HOT PATH — incremental statistics vs the legacy measurement walks";
+  section "HOT PATH — the incremental measurement path";
   Printf.printf
-    "Each kernel runs twice on this build: once with the pre-cache\n\
-     O(n)-per-sample implementations (Core.Session.legacy_hot_path) and once\n\
-     on the incremental path. Outputs must be identical; allocation is the\n\
-     kernel's Gc.allocated_bytes drain.\n\n";
-  let kernels = [ hotpath_sampling (); hotpath_matrix (); hotpath_order () ] in
+    "Allocation is the kernel's Gc.allocated_bytes drain. Agreement with the\n\
+     O(n)-per-sample reference forms is checked by the tier-1 tests.\n\n";
+  let sampling = hotpath_sampling () in
+  let matrix = hotpath_matrix () in
+  let order_ok, order = hotpath_order () in
+  let kernels = [ sampling; matrix; order ] in
   List.iter
     (fun k ->
-      Printf.printf
-        "%-18s legacy %7.3fs %8.1f MB   incremental %7.3fs %8.1f MB   %5.1fx  %s\n%!"
-        k.k_name k.k_legacy.h_seconds k.k_legacy.h_alloc_mb k.k_incremental.h_seconds
-        k.k_incremental.h_alloc_mb (hot_speedup k)
-        (if k.k_identical then "output identical" else "OUTPUT DIVERGED"))
+      Printf.printf "%-18s %7.3fs %8.1f MB\n%!" k.k_name k.k_seconds k.k_alloc_mb)
     kernels;
-  let paranoid_schemes = hotpath_paranoid () in
+  Printf.printf "order check: %s\n" (if order_ok then "consistent" else "INCONSISTENT");
+  let paranoid_schemes =
+    try hotpath_paranoid ()
+    with Invalid_argument msg ->
+      prerr_endline ("hotpath: " ^ msg);
+      exit 1
+  in
   Printf.printf "\nparanoid cross-check: %d scheme(s), every sampled read verified\n"
     paranoid_schemes;
   let buf = Buffer.create 1024 in
@@ -358,17 +327,17 @@ let run_hotpath () =
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"kernel\": %S, \"ops\": %d,\n     \"legacy\": %s,\n     \
-            \"incremental\": %s,\n     \"speedup\": %.2f, \"identical\": %b}"
-           k.k_name k.k_ops (hot_side_json k.k_legacy) (hot_side_json k.k_incremental)
-           (hot_speedup k) k.k_identical))
+           "    {\"kernel\": %S, \"ops\": %d, \"seconds\": %.4f, \"ops_per_sec\": %.2f, \
+            \"allocated_mb\": %.2f}"
+           k.k_name k.k_ops k.k_seconds k.k_ops_per_sec k.k_alloc_mb))
     kernels;
   Buffer.add_string buf
-    (Printf.sprintf "\n  ],\n  \"paranoid\": {\"ok\": true, \"schemes\": %d}\n}\n"
-       paranoid_schemes);
+    (Printf.sprintf
+       "\n  ],\n  \"order_consistent\": %b,\n  \"paranoid\": {\"ok\": true, \"schemes\": %d}\n}\n"
+       order_ok paranoid_schemes);
   write_json "BENCH_hotpath.json" (Buffer.contents buf);
-  if List.exists (fun k -> not k.k_identical) kernels then begin
-    prerr_endline "hotpath: legacy and incremental outputs diverged";
+  if not order_ok then begin
+    prerr_endline "hotpath: label order diverged from document order";
     exit 1
   end
 
@@ -576,7 +545,7 @@ let run_torture () =
   if report.Repro_torture.Torture.t_violations <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Network server: group-commit core vs legacy core, one build          *)
+(* Network server: loopback throughput under the seeded load mix       *)
 (* ------------------------------------------------------------------ *)
 
 let rec rm_rf path =
@@ -587,65 +556,41 @@ let rec rm_rf path =
   | false -> ( try Sys.remove path with Sys_error _ -> ())
   | exception Sys_error _ -> ()
 
-(* Both cores of the same binary, same seeded loadgen mix, same root
-   substrate. The root prefers tmpfs when the host has one so the section
-   measures core + commit-protocol overhead rather than the device's
-   fsync latency; the legacy run uses the old defaults (thread per
-   connection, fsync every 8th append, synchronous checkpoints), the
-   group-commit run the new ones (event loop, flusher-owned durability).
-   The headline report — throughput and p50/p99 per op class, plus the
-   scraped commit/loop gauges — is the group-commit run and goes to
-   BENCH_server.json. *)
+(* The in-process server with its default configuration (event loops,
+   flusher-owned durability) under the seeded loadgen mix. The root
+   prefers tmpfs when the host has one so the section measures server +
+   commit-protocol overhead rather than the device's fsync latency. The
+   report — throughput and p50/p99 per op class, plus the scraped
+   commit/loop gauges — goes to BENCH_server.json. *)
 let run_server () =
-  section "SERVER-GROUPCOMMIT — event-loop core vs legacy core";
+  section "SERVER-GROUPCOMMIT — event-loop server, group commit";
   let base =
     let shm = "/dev/shm" in
     if (try Sys.is_directory shm with Sys_error _ -> false) then shm
     else Filename.get_temp_dir_name ()
   in
-  let drive ~tag ~clients ~docs ~ops ~mk_cfg =
-    let root = Filename.concat base (Printf.sprintf "xsrv-bench-%s-%d" tag (Unix.getpid ())) in
-    rm_rf root;
-    let t = Repro_server.Server.start (mk_cfg root) in
-    let report =
-      Fun.protect
-        ~finally:(fun () -> ignore (Repro_server.Server.stop t))
-        (fun () ->
-          Repro_server.Loadgen.run
-            {
-              (Repro_server.Loadgen.default_config ~port:(Repro_server.Server.port t)) with
-              Repro_server.Loadgen.g_clients = clients;
-              g_ops = ops;
-              g_seed = 1;
-              g_nodes = 120;
-              g_docs = docs;
-            })
-    in
-    rm_rf root;
-    report
+  let root = Filename.concat base (Printf.sprintf "xsrv-bench-gc-%d" (Unix.getpid ())) in
+  rm_rf root;
+  let t = Repro_server.Server.start (Repro_server.Server.default_config ~root) in
+  let report =
+    Fun.protect
+      ~finally:(fun () -> ignore (Repro_server.Server.stop t))
+      (fun () ->
+        Repro_server.Loadgen.run
+          {
+            (Repro_server.Loadgen.default_config ~port:(Repro_server.Server.port t)) with
+            Repro_server.Loadgen.g_clients = 4;
+            g_ops = 20_000;
+            g_seed = 1;
+            g_nodes = 120;
+            g_docs = 0;
+          })
   in
-  let legacy =
-    drive ~tag:"legacy" ~clients:4 ~docs:0 ~ops:10_000 ~mk_cfg:(fun root ->
-        {
-          (Repro_server.Server.default_config ~root) with
-          Repro_server.Server.legacy_core = true;
-          fsync_every = 8;
-        })
-  in
-  Printf.printf "legacy core (thread per connection, fsync every 8):\n";
-  print_string (Repro_server.Loadgen.render legacy);
-  let gc =
-    drive ~tag:"gc" ~clients:4 ~docs:0 ~ops:20_000 ~mk_cfg:(fun root ->
-        Repro_server.Server.default_config ~root)
-  in
-  Printf.printf "\ngroup-commit core (event loop, flusher-owned durability):\n";
-  print_string (Repro_server.Loadgen.render gc);
-  Printf.printf "\nspeedup: %.1fx (%.0f -> %.0f ops/sec, same mix, same build, root on %s)\n"
-    (gc.Repro_server.Loadgen.r_ops_per_sec /. legacy.Repro_server.Loadgen.r_ops_per_sec)
-    legacy.Repro_server.Loadgen.r_ops_per_sec gc.Repro_server.Loadgen.r_ops_per_sec base;
-  write_json "BENCH_server.json" (Repro_server.Loadgen.to_json gc);
-  if legacy.Repro_server.Loadgen.r_errors > 0 || gc.Repro_server.Loadgen.r_errors > 0 then
-    exit 1
+  rm_rf root;
+  Printf.printf "event loop, flusher-owned durability, root on %s:\n" base;
+  print_string (Repro_server.Loadgen.render report);
+  write_json "BENCH_server.json" (Repro_server.Loadgen.to_json report);
+  if report.Repro_server.Loadgen.r_errors > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Query serving: incremental index vs rebuild-per-revision vs scan    *)

@@ -606,7 +606,7 @@ let port_arg ~default ~doc = Arg.(value & opt int default & info [ "port" ] ~doc
 
 let serve_cmd =
   let run host port root max_conns fsync_every checkpoint_every commit_interval
-      commit_max loop_domains legacy_core dedup_window shed_parked port_file
+      commit_max loop_domains dedup_window shed_parked port_file
       replica_of replica_name paranoid =
     let checkpoint_every = if checkpoint_every <= 0 then None else Some checkpoint_every in
     let replica_of =
@@ -630,7 +630,6 @@ let serve_cmd =
         commit_interval_us = commit_interval;
         commit_max;
         loop_domains;
-        legacy_core;
         dedup_window;
         shed_parked;
         replica_of;
@@ -701,14 +700,6 @@ let serve_cmd =
             "Event-loop domains multiplexing the connections (0 sizes from the \
              hardware).")
   in
-  let legacy_core =
-    Arg.(
-      value & flag
-      & info [ "legacy-core" ]
-          ~doc:
-            "Run the previous thread-per-connection, actor-per-document core — \
-             kept for same-build old-vs-new benchmarking.")
-  in
   let dedup_window =
     Arg.(
       value & opt int 128
@@ -774,7 +765,7 @@ let serve_cmd =
       const run $ host_arg
       $ port_arg ~default:0 ~doc:"Port to bind (0 picks an ephemeral one)."
       $ root $ max_conns $ fsync_every $ checkpoint_every $ commit_interval
-      $ commit_max $ loop_domains $ legacy_core $ dedup_window $ shed_parked
+      $ commit_max $ loop_domains $ dedup_window $ shed_parked
       $ port_file $ replica_of $ replica_name $ serve_paranoid)
 
 let loadgen_cmd =
@@ -1031,17 +1022,8 @@ let loadgen_cmd =
 (* ---- network torture --------------------------------------------- *)
 
 let nettorture_cmd =
-  let run ops seeds core points root verbose =
+  let run ops seeds points root verbose =
     let module N = Repro_server.Nettorture in
-    let nt_cores =
-      match core with
-      | "both" -> `Both
-      | "event" -> `Event
-      | "legacy" -> `Legacy
-      | c ->
-        Format.eprintf "nettorture: unknown core %S (both|event|legacy)@." c;
-        exit 2
-    in
     let root =
       match root with
       | Some r -> r
@@ -1054,7 +1036,6 @@ let nettorture_cmd =
         (N.default_config ~root) with
         N.nt_ops = ops;
         nt_seeds = seeds;
-        nt_cores;
         nt_points = points;
         nt_log = (if verbose then fun m -> Printf.printf "%s\n%!" m else ignore);
       }
@@ -1071,13 +1052,7 @@ let nettorture_cmd =
   let seeds =
     Arg.(
       value & opt int 2
-      & info [ "seeds" ] ~docv:"N" ~doc:"Seeded sweeps per server core.")
-  in
-  let core =
-    Arg.(
-      value & opt string "both"
-      & info [ "core" ] ~docv:"CORE"
-          ~doc:"Which server core to torture: $(b,both), $(b,event) or $(b,legacy).")
+      & info [ "seeds" ] ~docv:"N" ~doc:"Seeded sweeps.")
   in
   let points =
     Arg.(
@@ -1105,7 +1080,7 @@ let nettorture_cmd =
           every acked op applied exactly once and none twice, prove the harness \
           catches double-application when dedup is disabled, and check the dedup \
           window survives crash recovery. Exits nonzero on any violation.")
-    Term.(const run $ ops $ seeds $ core $ points $ root $ verbose)
+    Term.(const run $ ops $ seeds $ points $ root $ verbose)
 
 (* ---- cluster ----------------------------------------------------- *)
 

@@ -73,10 +73,9 @@ let request t ~doc req =
          (the primary may just be restarting), a real failover is waited
          out near the cap without the routers re-arriving in lockstep *)
       let backoff () =
-        if t.rt_backoff > 0. then begin
-          let d = min t.rt_backoff_cap (t.rt_backoff *. (2. ** float_of_int n)) in
-          Thread.delay (d *. (0.5 +. Random.State.float t.rt_rng 1.0))
-        end
+        if t.rt_backoff > 0. then
+          Thread.delay
+            (Client.backoff_delay ~base:t.rt_backoff ~cap:t.rt_backoff_cap t.rt_rng n)
       in
       let again reason =
         drop t shard;

@@ -94,8 +94,7 @@ type t = {
   tracked : tracked;  (** incremental bit statistics — read via the accessors below *)
   recount : unit -> tracked;
       (** full recomputation of {!tracked} by a preorder walk, bypassing
-          every cache — the {!paranoid} cross-check and the legacy
-          measurement path for the hot-path benchmark *)
+          every cache — the {!paranoid} cross-check's reference *)
   order_check : all_pairs:bool -> bool;
 }
 
@@ -103,12 +102,6 @@ type t = {
     from a full preorder recomputation and fails loudly on divergence
     (set by [--paranoid] on the CLI). *)
 let paranoid = ref false
-
-(** Benchmark instrumentation only: route the statistics reads, the order
-    check and the workload driver's node pickers through the pre-cache
-    O(n)-per-sample implementations, so BENCH_hotpath.json can report an
-    honest before/after on the same build. *)
-let legacy_hot_path = ref false
 
 let build (module S : Scheme.S) doc ~stored =
   let state =
@@ -283,28 +276,7 @@ let labels_snapshot t =
 
 (** Checks that label order matches document order for every adjacent pair
     (and, optionally, all pairs) of the current document. *)
-let order_consistent ?(all_pairs = false) t =
-  if !legacy_hot_path then begin
-    (* The pre-cache implementation: a per-pair closure call, two label
-       lookups each, over a freshly allocated node list. *)
-    let nodes = Array.of_list (Tree.preorder t.doc) in
-    let n = Array.length nodes in
-    let ok = ref true in
-    if all_pairs then
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          let expected = compare i j in
-          let got = t.order nodes.(i) nodes.(j) in
-          if compare got 0 <> compare expected 0 then ok := false
-        done
-      done
-    else
-      for i = 0 to n - 2 do
-        if t.order nodes.(i) nodes.(i + 1) >= 0 then ok := false
-      done;
-    !ok
-  end
-  else t.order_check ~all_pairs
+let order_consistent ?(all_pairs = false) t = t.order_check ~all_pairs
 
 (** True when any two live nodes carry the same label text. *)
 let has_duplicate_labels t =
@@ -356,32 +328,17 @@ let check_paranoid t =
            msg)
 
 let total_bits t =
-  if !legacy_hot_path then
-    List.fold_left (fun acc n -> acc + t.label_bits n) 0 (Tree.preorder t.doc)
-  else begin
-    check_paranoid t;
-    t.tracked.tr_bits
-  end
+  check_paranoid t;
+  t.tracked.tr_bits
 
 let max_bits t =
-  if !legacy_hot_path then
-    List.fold_left (fun acc n -> max acc (t.label_bits n)) 0 (Tree.preorder t.doc)
-  else begin
-    check_paranoid t;
-    t.tracked.tr_max
-  end
+  check_paranoid t;
+  t.tracked.tr_max
 
 let avg_bits t =
-  if !legacy_hot_path then begin
-    let nodes = Tree.preorder t.doc in
-    if nodes = [] then 0.0
-    else float_of_int (total_bits t) /. float_of_int (List.length nodes)
-  end
-  else begin
-    check_paranoid t;
-    if t.tracked.tr_nodes = 0 then 0.0
-    else float_of_int t.tracked.tr_bits /. float_of_int t.tracked.tr_nodes
-  end
+  check_paranoid t;
+  if t.tracked.tr_nodes = 0 then 0.0
+  else float_of_int t.tracked.tr_bits /. float_of_int t.tracked.tr_nodes
 
 (** The live bit-width histogram as [(width, count)] pairs, sparsest
     first — the hot-path benchmark reports it alongside the aggregates. *)

@@ -46,16 +46,7 @@ let between l r =
       else zeros (j + 1)
     in
     let j = zeros 0 in
-    if !Core.Session.legacy_hot_path then begin
-      (* The pre-rework implementation, kept as the before-side of the
-         hot-path benchmark: a snoc per zero is quadratic in the zero run,
-         which the skewed insert-after workload grows by one every
-         operation. *)
-      let buf = ref l in
-      for _ = 1 to j do
-        buf := Bitstr.snoc !buf false
-      done;
-      Bitstr.concat !buf zero_one
-    end
-    else Bitstr.concat_list [ l; Bitstr.zeroes j; zero_one ]
+    (* one concatenation, not a snoc per zero: the skewed insert-after
+       workload grows the zero run by one every operation *)
+    Bitstr.concat_list [ l; Bitstr.zeroes j; zero_one ]
   end

@@ -1,7 +1,7 @@
 (* Seeded network torture: run a scripted retrying client against an
    in-process server while Netsim breaks exactly one point of the socket
-   conversation, for every point, for every fault kind, on both cores —
-   then machine-check the exactly-once contract against the document the
+   conversation, for every point, for every fault kind — then
+   machine-check the exactly-once contract against the document the
    server actually built. A negative control with dedup disabled must
    catch double-application, or the harness itself is broken. *)
 
@@ -14,7 +14,6 @@ module Client = Server_client
 type config = {
   nt_ops : int;
   nt_seeds : int;
-  nt_cores : [ `Both | `Event | `Legacy ];
   nt_points : int;
   nt_root : string;
   nt_log : string -> unit;
@@ -24,7 +23,6 @@ let default_config ~root =
   {
     nt_ops = 24;
     nt_seeds = 2;
-    nt_cores = `Both;
     nt_points = 0;
     nt_root = root;
     nt_log = ignore;
@@ -91,11 +89,10 @@ let rm_rf dir =
     try Sys.rmdir dir with Sys_error _ -> ()
   end
 
-let server_config ~legacy ~dedup root =
+let server_config ~dedup root =
   {
     (Server.default_config ~root) with
-    Server.legacy_core = legacy;
-    dedup_window = dedup;
+    Server.dedup_window = dedup;
     recv_timeout = 10.;
     send_timeout = 10.;
     checkpoint_every = Some 64 (* frequent epochs: Marks must survive them *);
@@ -155,24 +152,21 @@ let count_names admin ~doc names =
     Some h
   | _ -> None
 
-(* sweep one (core, seed): probe the clean scenario to learn its syscall
+(* sweep one seed: probe the clean scenario to learn its syscall
    count S, then re-run it with a fault at every k in 1..S for every
    fault kind, verifying exactly-once after each point. In [control] mode
    the server's dedup window is disabled and double-applications are
    counted instead of condemned — the harness proving it can see the bug
    it exists to rule out. *)
-let sweep cfg acc ~legacy ~seed ~control =
-  let core = if legacy then "legacy" else "event" in
-  let tag =
-    Printf.sprintf "%s seed %d%s" core seed (if control then " (control)" else "")
-  in
+let sweep cfg acc ~seed ~control =
+  let tag = Printf.sprintf "seed %d%s" seed (if control then " (control)" else "") in
   let root =
     Filename.concat cfg.nt_root
-      (Printf.sprintf "nt-%s-%d%s" core seed (if control then "-ctl" else ""))
+      (Printf.sprintf "nt-%d%s" seed (if control then "-ctl" else ""))
   in
   rm_rf root;
   let dedup = if control then 0 else 128 in
-  let srv = Server.start (server_config ~legacy ~dedup root) in
+  let srv = Server.start (server_config ~dedup root) in
   Fun.protect
     ~finally:(fun () ->
       ignore (Server.stop srv);
@@ -240,8 +234,8 @@ let sweep cfg acc ~legacy ~seed ~control =
           (* an ack must describe the batch it answers: a fresh or cached
              reply for an n-op insert batch says applied = n — anything
              else means the reply stream got misattributed (this check is
-             what caught a recycled-fd reply misrouting in the event
-             core's deferred-job path) *)
+             what caught a recycled-fd reply misrouting in the server's
+             deferred-job path) *)
           List.iteri
             (fun bi (names, outcome) ->
               match outcome with
@@ -282,14 +276,13 @@ let sweep cfg acc ~legacy ~seed ~control =
 (* recovery: an acked-and-durable update must survive a kill -9, and a
    retry of the same (client, seq) against the restarted server must be
    answered from the rebuilt dedup window, not re-applied. fsync_every=1
-   makes the ack imply durability on both cores, so the check is exact. *)
-let recovery cfg acc ~legacy =
-  let core = if legacy then "legacy" else "event" in
-  let tag = core ^ " recovery" in
-  let root = Filename.concat cfg.nt_root ("nt-rec-" ^ core) in
+   makes the ack imply durability, so the check is exact. *)
+let recovery cfg acc =
+  let tag = "recovery" in
+  let root = Filename.concat cfg.nt_root "nt-rec" in
   rm_rf root;
   let scfg =
-    { (server_config ~legacy ~dedup:128 root) with
+    { (server_config ~dedup:128 root) with
       Server.fsync_every = 1;
       checkpoint_every = None
     }
@@ -372,20 +365,11 @@ let run cfg =
       a_violations = [];
     }
   in
-  let cores =
-    match cfg.nt_cores with
-    | `Both -> [ false; true ]
-    | `Event -> [ false ]
-    | `Legacy -> [ true ]
-  in
-  List.iter
-    (fun legacy ->
-      for seed = 1 to max 1 cfg.nt_seeds do
-        sweep cfg acc ~legacy ~seed ~control:false
-      done;
-      sweep cfg acc ~legacy ~seed:(max 1 cfg.nt_seeds + 1) ~control:true;
-      recovery cfg acc ~legacy)
-    cores;
+  for seed = 1 to max 1 cfg.nt_seeds do
+    sweep cfg acc ~seed ~control:false
+  done;
+  sweep cfg acc ~seed:(max 1 cfg.nt_seeds + 1) ~control:true;
+  recovery cfg acc;
   {
     nt_swept = acc.a_swept;
     nt_injected = acc.a_injected;

@@ -7,7 +7,7 @@
     probe pass counts the clean scenario's data syscalls [S], then the
     scenario is replayed with a fault — drop, reset, truncation,
     multi-call partition, delay — at every [k] in [1..S], for every
-    fault kind, for every seed, on both server cores.
+    fault kind, for every seed.
 
     After each point the document is read back over a clean connection
     and machine-checked against the scripted ops: an acknowledged insert
@@ -27,8 +27,7 @@
 
 type config = {
   nt_ops : int;  (** update requests per scenario (default 24) *)
-  nt_seeds : int;  (** positive sweeps per core (default 2) *)
-  nt_cores : [ `Both | `Event | `Legacy ];
+  nt_seeds : int;  (** positive sweeps (default 2) *)
   nt_points : int;
       (** cap on fault points per sweep, sampled evenly across the
           [(syscall, fault)] grid; [0] (default) sweeps every point *)

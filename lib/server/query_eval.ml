@@ -1,4 +1,4 @@
-(* Wire-query evaluation shared by both server cores.
+(* Wire-query evaluation for the server.
 
    An Xpath/Twig request is parsed and evaluated here, against the
    snapshot+index pair the document's writer last published — never under

@@ -1,5 +1,5 @@
-(** Wire-query ({!Protocol.req.Xpath} / {!Protocol.req.Twig}) evaluation,
-    shared by both server cores.
+(** Wire-query ({!Protocol.req.Xpath} / {!Protocol.req.Twig}) evaluation
+    for {!Server}.
 
     Queries run against an atomically published
     ({!Repro_encoding.Axis_inc.snap}, revision) pair, entirely outside the

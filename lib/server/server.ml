@@ -33,7 +33,6 @@ type config = {
   replica_of : (string * int) option;
   replica_name : string;
   poll_interval : float;
-  legacy_core : bool;
   paranoid : bool;
       (** re-derive every served query answer through the scan reference
           evaluator; a divergence is answered as [Internal], never served *)
@@ -76,7 +75,6 @@ let default_config ~root =
     replica_of = None;
     replica_name = "replica";
     poll_interval = 0.02;
-    legacy_core = false;
     paranoid = false;
   }
 
@@ -458,7 +456,7 @@ let wake_loop ls =
 (* ring size for the flush-cycle instruments *)
 let ring_size = 512
 
-type core = {
+type t = {
   cfg : config;
   lfd : Unix.file_descr;
   t_port : int;
@@ -509,8 +507,6 @@ type core = {
   ring_flush_us : int array;
   mutable ring_n : int;
 }
-
-type t = Loop of core | Legacy of Server_legacy.t
 
 type summary = { s_conns : int; s_docs : int }
 
@@ -2040,7 +2036,7 @@ let gauge_config t =
   Metrics.gauge t.metrics ~key:"cfg/loop_domains" ~value:(Array.length t.loops);
   Metrics.gauge t.metrics ~key:"query/workers" ~value:0
 
-let start_core cfg =
+let start cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   mkdir_p cfg.root;
   let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -2124,7 +2120,7 @@ let start_core cfg =
   t
 
 (* Flip the server into draining; safe from a signal handler. *)
-let trigger_core t =
+let trigger t =
   if not (Atomic.exchange t.closing true) then begin
     (try ignore (Unix.write t.stop_w (Bytes.of_string "x") 0 1)
      with Unix.Unix_error _ -> ());
@@ -2134,7 +2130,7 @@ let trigger_core t =
     Mutex.unlock t.conns_mu
   end
 
-let wait_core t =
+let wait t =
   (* the trigger byte stays in the pipe (select does not consume), so
      this works whether the trigger fired before or after the call; the
      SIGINT that fires the trigger also interrupts this very select *)
@@ -2219,8 +2215,8 @@ let close_remaining_conns t =
   Mutex.unlock t.conns_mu;
   List.iter (close_conn t) left
 
-let stop_core t =
-  trigger_core t;
+let stop t =
+  trigger t;
   if t.stopped then { s_conns = t.served; s_docs = Hashtbl.length t.docs }
   else begin
     join_manager t;
@@ -2233,8 +2229,8 @@ let stop_core t =
     { s_conns = t.served; s_docs = Hashtbl.length t.docs }
   end
 
-let abort_core t =
-  trigger_core t;
+let abort t =
+  trigger t;
   if not t.stopped then begin
     join_manager t;
     drain_transport ~how:Unix.SHUTDOWN_ALL t;
@@ -2252,50 +2248,6 @@ let abort_core t =
     t.stopped <- true
   end
 
-(* ---- public face: new core or legacy -------------------------------- *)
-
-let legacy_config cfg =
-  {
-    Server_legacy.host = cfg.host;
-    port = cfg.port;
-    root = cfg.root;
-    max_conns = cfg.max_conns;
-    backlog = cfg.backlog;
-    recv_timeout = cfg.recv_timeout;
-    send_timeout = cfg.send_timeout;
-    fsync_every = max 1 cfg.fsync_every;
-    checkpoint_every = cfg.checkpoint_every;
-    max_doc_nodes = cfg.max_doc_nodes;
-    max_frag_nodes = cfg.max_frag_nodes;
-    dedup_window = cfg.dedup_window;
-    shed_waiters = cfg.shed_parked;
-    peer_timeout = cfg.peer_timeout;
-    sock = cfg.sock;
-    log = cfg.log;
-    replica_of = cfg.replica_of;
-    replica_name = cfg.replica_name;
-    poll_interval = cfg.poll_interval;
-    paranoid = cfg.paranoid;
-  }
-
-let start cfg =
-  if cfg.legacy_core then Legacy (Server_legacy.start (legacy_config cfg))
-  else Loop (start_core cfg)
-
-let port = function Loop t -> t.t_port | Legacy l -> Server_legacy.port l
-let metrics = function Loop t -> t.metrics | Legacy l -> Server_legacy.metrics l
-let trigger = function Loop t -> trigger_core t | Legacy l -> Server_legacy.trigger l
-
-let install_sigint = function
-  | Loop t -> Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> trigger_core t))
-  | Legacy l -> Server_legacy.install_sigint l
-
-let wait = function Loop t -> wait_core t | Legacy l -> Server_legacy.wait l
-
-let stop = function
-  | Loop t -> stop_core t
-  | Legacy l ->
-    let s = Server_legacy.stop l in
-    { s_conns = s.Server_legacy.s_conns; s_docs = s.Server_legacy.s_docs }
-
-let abort = function Loop t -> abort_core t | Legacy l -> Server_legacy.abort l
+let port t = t.t_port
+let metrics t = t.metrics
+let install_sigint t = Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> trigger t))

@@ -3,7 +3,7 @@
     underneath, and one group-commit flusher amortizing fsync across all
     of them.
 
-    Threading model (the multicore core, [legacy_core = false]):
+    Threading model:
 
     - [loop_domains] OCaml 5 domains each run a poll-style event loop
       over the {!Repro_io.Io.sock} [s_select] seam. Connections are dealt
@@ -72,7 +72,7 @@ type config = {
           journal never fsyncs on its own — the group-commit flusher owns
           durability entirely. [1] restores fsync-per-append (every
           update is durable before its reply, no parking); [>= 2] batches
-          inside each journal as before. *)
+          inside each journal, fsyncing every [fsync_every]-th append. *)
   checkpoint_every : int option;
       (** auto-checkpoint a document after this many journaled records,
           executed by the flusher off the request path; [None] disables *)
@@ -103,9 +103,7 @@ type config = {
       (** refuse further mutations with {!Protocol.err.Overloaded} once
           this many replies are parked awaiting fsync server-wide
           (nothing validated or journalled — always safe to retry);
-          0 disables. The legacy core maps this to its bound on
-          connection threads blocked at a full actor queue
-          ({!Server_legacy.config.shed_waiters}). *)
+          0 disables. *)
   shed_conn_bytes : int;
       (** refuse further mutations from one connection once its parked
           replies hold this many encoded bytes — a single pipelining
@@ -125,11 +123,6 @@ type config = {
           and refuse updates with [Not_primary] until promoted. *)
   replica_name : string;  (** how this replica identifies itself upstream *)
   poll_interval : float;  (** replication manager idle poll, seconds *)
-  legacy_core : bool;
-      (** run the previous thread-per-connection, actor-per-document core
-          ({!Server_legacy}) behind the same API — kept for same-build
-          old-vs-new benchmarking. [fsync_every <= 0] is clamped to [1]
-          there; the group-commit knobs are ignored. *)
   paranoid : bool;
       (** re-derive every served Xpath/Twig answer through the scan
           reference evaluator over the same published snapshot; a
@@ -156,7 +149,7 @@ val port : t -> int
 (** The bound port — the ephemeral one when [config.port] was 0. *)
 
 val metrics : t -> Metrics.t
-(** Counters and gauges. Beyond the per-request keys, the multicore core
+(** Counters and gauges. Beyond the per-request keys, the server
     publishes ["commit/batch_p50"]/["commit/batch_p99"] (replies retired
     per fsync cycle), ["commit/flush_us_p50"]/["commit/flush_us_p99"]
     (cycle latency), ["commit/parked"] (current depth),
@@ -165,8 +158,7 @@ val metrics : t -> Metrics.t
     ["cfg/loop_domains"]. Resilience keys: ["dedup/hit"] counts retries
     answered from the dedup window, ["shed/update"] counts mutations
     refused with [Overloaded], with gauges ["shed/parked"] and
-    ["shed/conn_bytes"] (["shed/waiters"] on the legacy core) recording
-    the pressure at the last shed. *)
+    ["shed/conn_bytes"] recording the pressure at the last shed. *)
 
 val trigger : t -> unit
 (** Begin draining: stop accepting, refuse new opens. Async-signal-safe;

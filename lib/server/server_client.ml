@@ -84,12 +84,14 @@ let counters t =
     c_overloaded = t.n_overloaded;
   }
 
-(* Capped exponential backoff with full jitter: attempt n sleeps
+(* Capped exponential backoff with full jitter: attempt n waits
    uniform(0.5, 1.5) * min(cap, base * 2^n), so a thundering herd of
    retrying clients decorrelates instead of re-arriving in lockstep. *)
+let backoff_delay ~base ~cap rng n =
+  min cap (base *. (2. ** float_of_int n)) *. (0.5 +. Random.State.float rng 1.0)
+
 let sleep_backoff t n =
-  let d = min t.backoff_cap (t.backoff *. (2. ** float_of_int n)) in
-  let d = d *. (0.5 +. Random.State.float t.rng 1.0) in
+  let d = backoff_delay ~base:t.backoff ~cap:t.backoff_cap t.rng n in
   if d > 0. then Thread.delay d
 
 (* A fresh mutation from an identified client gets the next sequence

@@ -55,6 +55,12 @@ val connect :
 val close : t -> unit
 (** Idempotent. A closed client stays closed: no redial. *)
 
+val backoff_delay : base:float -> cap:float -> Random.State.t -> int -> float
+(** The wait before retry attempt [n], in seconds:
+    [min cap (base * 2^n)] times a jitter drawn uniformly from
+    [\[0.5, 1.5)] — one draw from [rng] per call. The client's retries and
+    the cluster router's re-routes both sleep this long. *)
+
 val counters : t -> counters
 (** Cumulative resilience counters since [connect]. *)
 

@@ -17,9 +17,7 @@ let pp_sample ppf s =
 (* One statistics sample. Every field is an O(1) read of the session's
    incrementally tracked state (node count included — the tree indexes its
    live nodes), so dense sampling ([sample_every = 1]) no longer turns an
-   n-op workload into O(n^2) preorder walks; under
-   [Core.Session.legacy_hot_path] the reads fall back to full walks, which
-   is the before-side of BENCH_hotpath.json. *)
+   n-op workload into O(n^2) preorder walks. *)
 let measure session ~ops_done ~t0 =
   let stats = session.Core.Session.stats () in
   {

@@ -67,10 +67,8 @@ let fresh_leaf d =
 
 (* Uniform choice over the picker snapshots: each draw is one PRNG index —
    exactly the draw [Prng.choose] would make on the equivalent filtered
-   array, so seeded workloads replay identically under both picker
-   implementations. The legacy list-building pickers are kept behind
-   {!Core.Session.legacy_hot_path} as the before-side of the hot-path
-   benchmark. *)
+   preorder list, so seeded workloads replay identically to list-building
+   pickers (the workload tests hold the two side by side). *)
 let refresh_cache d =
   let doc = d.session.Core.Session.doc in
   let rev = Tree.revision doc in
@@ -94,37 +92,17 @@ let refresh_cache d =
 
 (* A uniformly random live element node (the root included). *)
 let random_element d =
-  if !Core.Session.legacy_hot_path then
-    let elements =
-      List.filter
-        (fun (n : Tree.node) -> n.kind = Tree.Element)
-        (Tree.preorder d.session.doc)
-    in
-    Prng.choose d.rng (Array.of_list elements)
-  else begin
-    refresh_cache d;
-    if Array.length d.cache_elements = 0 then
-      invalid_arg "Updates.random_element: no element nodes";
-    d.cache_elements.(Prng.int d.rng (Array.length d.cache_elements))
-  end
+  refresh_cache d;
+  if Array.length d.cache_elements = 0 then
+    invalid_arg "Updates.random_element: no element nodes";
+  d.cache_elements.(Prng.int d.rng (Array.length d.cache_elements))
 
 let random_non_root d =
-  if !Core.Session.legacy_hot_path then
-    let candidates =
-      List.filter
-        (fun (n : Tree.node) -> Tree.parent n <> None)
-        (Tree.preorder d.session.doc)
-    in
-    match candidates with
-    | [] -> None
-    | l -> Some (Prng.choose d.rng (Array.of_list l))
-  else begin
-    refresh_cache d;
-    (* The preorder snapshot leads with the root; everything after it is a
-       non-root node, so the k-th match is a direct index. *)
-    let count = Array.length d.cache_all - 1 in
-    if count = 0 then None else Some d.cache_all.(1 + Prng.int d.rng count)
-  end
+  refresh_cache d;
+  (* The preorder snapshot leads with the root; everything after it is a
+     non-root node, so the k-th match is a direct index. *)
+  let count = Array.length d.cache_all - 1 in
+  if count = 0 then None else Some d.cache_all.(1 + Prng.int d.rng count)
 
 let uniform_insert d =
   let s = d.session in

@@ -29,5 +29,15 @@ val start : pattern -> seed:int -> Core.Session.t -> driver
 val step : driver -> unit
 (** Performs one update operation. *)
 
+val random_element : driver -> Repro_xml.Tree.node
+(** A uniformly random live element node, the root included: one draw
+    from the driver's PRNG, the same draw [Prng.choose] makes over the
+    element nodes of [Tree.preorder]. *)
+
+val random_non_root : driver -> Repro_xml.Tree.node option
+(** A uniformly random live node other than the root, drawn like
+    {!random_element} over the non-root nodes of [Tree.preorder]; [None]
+    (and no draw) when the root stands alone. *)
+
 val run : pattern -> seed:int -> ops:int -> Core.Session.t -> unit
 (** [start] then [step] [ops] times. *)

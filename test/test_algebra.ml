@@ -200,9 +200,64 @@ let all_initials_ordered =
       && check_mod Repro_schemes.Qed.Code.compare (Repro_schemes.Qed.Code.initial n)
       && check_mod Repro_schemes.Vector_code.compare (Repro_schemes.Vector_code.initial n))
 
+(* [Binary_ops.between] against the per-bit construction it replaced: for
+   [r = l·s] it appended [s]'s leading zeros to [l] one [snoc] at a time,
+   then [01]. Seeded random ordered pairs, plus [r = l·0^j·1] for every j
+   up to 64 (the run the skewed insert-after workload grows by one per
+   operation); every code produced lies strictly between its bounds. *)
+let between_matches_snoc_reference () =
+  let module B = Repro_codes.Bitstr in
+  let reference l r =
+    if B.compare l r >= 0 then invalid_arg "not ordered";
+    if not (B.is_prefix l r) then B.concat l (B.of_string "1")
+    else begin
+      let buf = ref l and i = ref (B.length l) in
+      while !i < B.length r && not (B.get r !i) do
+        buf := B.snoc !buf false;
+        incr i
+      done;
+      if !i >= B.length r then invalid_arg "all-zero suffix";
+      B.concat !buf (B.of_string "01")
+    end
+  in
+  let attempt f = try Some (f ()) with Invalid_argument _ -> None in
+  let agree l r =
+    let got = attempt (fun () -> Repro_schemes.Binary_ops.between l r) in
+    let want = attempt (fun () -> reference l r) in
+    let show = function None -> "refused" | Some c -> B.to_string c in
+    let where = Printf.sprintf "between %s %s" (B.to_string l) (B.to_string r) in
+    Alcotest.(check string) where (show want) (show got);
+    match got with
+    | Some m ->
+      Alcotest.(check bool) (where ^ " lies strictly inside") true
+        (B.compare l m < 0 && B.compare m r < 0)
+    | None -> ()
+  in
+  let rng = Repro_codes.Prng.create 2024 in
+  let random_code max_len =
+    B.of_string
+      (String.init (Repro_codes.Prng.int rng (max_len + 1)) (fun _ ->
+           if Repro_codes.Prng.bool rng then '1' else '0'))
+  in
+  for _ = 1 to 2000 do
+    let a = random_code 12 in
+    (* half the pairs share [a] as a prefix, the case with a zero run *)
+    let b = if Repro_codes.Prng.bool rng then B.concat a (random_code 8) else random_code 12 in
+    match B.compare a b with
+    | 0 -> ()
+    | c when c < 0 -> agree a b
+    | _ -> agree b a
+  done;
+  for j = 0 to 64 do
+    let l = random_code 10 in
+    agree l (B.concat_list [ l; B.zeroes j; B.of_string "1" ])
+  done
+
 let suite =
   [
     ("ImprovedBinary initial matches Figure 6", `Quick, improved_binary_matches_paper_n3);
+    ("Binary_ops.between matches the per-bit reference", `Quick,
+     between_matches_snoc_reference);
     qcheck binary_torture;
     qcheck cdbs_torture;
     qcheck qed_torture;

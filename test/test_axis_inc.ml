@@ -98,7 +98,7 @@ let snapshot_queries_agree () =
   Axis_inc.detach inc
 
 (* A snapshot taken before a mutation must not see it (persistent maps,
-   the lock-free publication story of both server cores). *)
+   the lock-free publication story of the server). *)
 let snapshots_are_immutable () =
   let session = Core.Session.make (module Repro_schemes.Qed : Core.Scheme.S) (base_doc 7) in
   let doc = session.Core.Session.doc in

@@ -5,9 +5,8 @@
    per-operator shapes against handcrafted documents, validation
    refusals, oracle-replay agreement across every well-behaved scheme
    (a byte-identical twin replays each compiled plan), incremental
-   index equivalence under a migration storm, and the wire path on
-   both server cores including an exactly-once retry through a lost
-   reply. *)
+   index equivalence under a migration storm, and the wire path
+   including an exactly-once retry through a lost reply. *)
 
 open Repro_xml
 open Repro_journal
@@ -326,12 +325,9 @@ let fresh_root =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "xmig-test-%d-%d" (Unix.getpid ()) !n)
 
-let with_core_server ~legacy f =
+let with_server f =
   let root = fresh_root () in
-  let cfg =
-    { (Server.default_config ~root) with fsync_every = 1; legacy_core = legacy }
-  in
-  let t = Server.start cfg in
+  let t = Server.start { (Server.default_config ~root) with fsync_every = 1 } in
   Fun.protect
     ~finally:(fun () ->
       ignore (Server.stop t);
@@ -348,8 +344,8 @@ let insert_child c ~doc lab name =
   | Ok (P.Updated { up_fresh = [ l ]; _ }) -> l
   | _ -> Alcotest.fail "insert failed"
 
-let migrate_over_the_wire ~legacy () =
-  with_core_server ~legacy (fun t ->
+let migrate_over_the_wire () =
+  with_server (fun t ->
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port t) () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let root_lab =
@@ -383,7 +379,7 @@ let migrate_over_the_wire ~legacy () =
       | _ -> Alcotest.fail "hoisting the root was not refused"))
 
 let oversized_batch_refused () =
-  with_core_server ~legacy:false (fun t ->
+  with_server (fun t ->
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port t) () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let root_lab =
@@ -401,7 +397,7 @@ let oversized_batch_refused () =
 (* the PR 8 contract, transitively: an identified client's migrate retry
    after a lost reply is answered from the dedup window, not re-applied *)
 let migrate_retry_exactly_once () =
-  with_core_server ~legacy:false (fun t ->
+  with_server (fun t ->
       let ns, m = Netsim.wrap Io.unix_sock in
       let sock = Io.pack_sock m in
       let c =
@@ -603,10 +599,7 @@ let suite =
       oracle_agrees_everywhere;
     Alcotest.test_case "incremental index survives a storm" `Quick
       axis_inc_survives_storm;
-    Alcotest.test_case "migrate over the wire, event core" `Quick
-      (migrate_over_the_wire ~legacy:false);
-    Alcotest.test_case "migrate over the wire, legacy core" `Quick
-      (migrate_over_the_wire ~legacy:true);
+    Alcotest.test_case "migrate over the wire" `Quick migrate_over_the_wire;
     Alcotest.test_case "oversized batch refused" `Quick oversized_batch_refused;
     Alcotest.test_case "migrate retry is exactly-once" `Quick migrate_retry_exactly_once;
     survival_matches_reevaluation "QED";

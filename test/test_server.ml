@@ -608,12 +608,10 @@ let shared_docs_soak () =
    Err (Internal, "paranoid divergence: ..."), so a clean soak plus a
    zero-error [query/paranoid] metric is a byte-identical guarantee for
    each answer served here. *)
-let paranoid_query_soak ~legacy () =
+let paranoid_query_soak () =
   let root = fresh_root () in
   let t =
-    Server.start
-      { (Server.default_config ~root) with fsync_every = 1; paranoid = true;
-        legacy_core = legacy }
+    Server.start { (Server.default_config ~root) with fsync_every = 1; paranoid = true }
   in
   Fun.protect
     ~finally:(fun () ->
@@ -966,10 +964,7 @@ let suite =
     Alcotest.test_case "abort mid-batch serves the acked prefix" `Quick
       abort_mid_batch_serves_acked_prefix;
     Alcotest.test_case "shared-document soak, zero errors" `Slow shared_docs_soak;
-    Alcotest.test_case "paranoid query soak, event core" `Slow
-      (paranoid_query_soak ~legacy:false);
-    Alcotest.test_case "paranoid query soak, legacy core" `Slow
-      (paranoid_query_soak ~legacy:true);
+    Alcotest.test_case "paranoid query soak" `Slow paranoid_query_soak;
     Alcotest.test_case "pipelined replies keep request order" `Quick
       pipelined_replies_keep_order;
     Alcotest.test_case "a parked ack keeps its place" `Quick parked_ack_keeps_order;

@@ -76,6 +76,42 @@ let paranoid_reads () =
       check Alcotest.bool "max >= avg" true
         (float_of_int (Core.Session.max_bits session) >= Core.Session.avg_bits session))
 
+(* [Session.order_consistent] reads one materialised label array; the
+   reference is the naive walk it replaced — [t.order] called per pair,
+   two label lookups each, over a fresh preorder list. Both verdicts, for
+   adjacent and for all pairs, after a seeded mixed workload under every
+   registered scheme. *)
+let order_check_matches_per_pair_walk () =
+  let reference (t : Core.Session.t) ~all_pairs =
+    let nodes = Array.of_list (Repro_xml.Tree.preorder t.doc) in
+    let n = Array.length nodes in
+    let ok = ref true in
+    if all_pairs then
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if compare (t.order nodes.(i) nodes.(j)) 0 <> compare i j then ok := false
+        done
+      done
+    else
+      for i = 0 to n - 2 do
+        if t.order nodes.(i) nodes.(i + 1) >= 0 then ok := false
+      done;
+    !ok
+  in
+  List.iter
+    (fun pack ->
+      let name = Core.Scheme.name pack in
+      let session = Core.Session.make pack (base_doc 23) in
+      Updates.run Updates.Mixed_with_deletes ~seed:23 ~ops:120 session;
+      List.iter
+        (fun all_pairs ->
+          check Alcotest.bool
+            (Printf.sprintf "%s, all_pairs=%b" name all_pairs)
+            (reference session ~all_pairs)
+            (Core.Session.order_consistent ~all_pairs session))
+        [ false; true ])
+    Repro_schemes.Registry.all
+
 let suite =
   [
     ( "incremental stats equal full recompute after every op (all schemes)",
@@ -83,4 +119,7 @@ let suite =
       incremental_matches_recompute );
     ("sweep samples are byte-identical at jobs 1 and 4", `Slow, sweep_jobs_identical);
     ("paranoid mode verifies every sampled read", `Quick, paranoid_reads);
+    ( "order check matches the per-pair walk (all schemes)",
+      `Quick,
+      order_check_matches_per_pair_walk );
   ]

@@ -86,6 +86,45 @@ let xmark_bid_feed () =
   check Alcotest.int "50 bidders appended" (before + (50 * 4)) (Tree.size doc);
   check Alcotest.bool "order maintained" true (Core.Session.order_consistent session)
 
+(* The pickers index revision-stamped preorder snapshots; the reference
+   is the list-building form they replaced, [Prng.choose] over the
+   filtered [Tree.preorder] list, drawing from a twin of the driver's
+   generator. A second driver mutates the same document between rounds,
+   so the snapshots are rebuilt across inserts and deletes and reused
+   within a round. *)
+let pickers_match_list_reference () =
+  let seed = 41 in
+  let pack = Option.get (Repro_schemes.Registry.find "QED") in
+  let session =
+    Core.Session.make pack
+      (Docgen.generate ~seed { Docgen.default_shape with target_nodes = 80 })
+  in
+  let picker = Updates.start Updates.Uniform_random ~seed session in
+  let mutator = Updates.start Updates.Mixed_with_deletes ~seed:(seed + 1) session in
+  let twin = Repro_codes.Prng.create seed in
+  let filtered keep = Array.of_list (List.filter keep (Tree.preorder session.doc)) in
+  for round = 1 to 150 do
+    for pick = 1 to 3 do
+      let where = Printf.sprintf "round %d pick %d" round pick in
+      let want =
+        Repro_codes.Prng.choose twin
+          (filtered (fun (n : Tree.node) -> n.kind = Tree.Element))
+      in
+      check Alcotest.int (where ^ ": element") want.Tree.id
+        (Updates.random_element picker).Tree.id;
+      let want =
+        match filtered (fun n -> Tree.parent n <> None) with
+        | [||] -> None
+        | a -> Some (Repro_codes.Prng.choose twin a).Tree.id
+      in
+      check
+        Alcotest.(option int)
+        (where ^ ": non-root") want
+        (Option.map (fun (n : Tree.node) -> n.id) (Updates.random_non_root picker))
+    done;
+    Updates.step mutator
+  done
+
 let suite =
   [
     ("docgen is deterministic", `Quick, docgen_deterministic);
@@ -93,6 +132,8 @@ let suite =
     ("runner series shape", `Quick, runner_series_shape);
     ("xmark-lite structure", `Quick, xmark_structure);
     ("xmark-lite bid feed", `Quick, xmark_bid_feed);
+    ("pickers draw what Prng.choose draws over preorder", `Quick,
+     pickers_match_list_reference);
     qcheck docgen_respects_bounds;
     qcheck patterns_keep_tree_valid;
   ]
