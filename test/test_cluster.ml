@@ -394,10 +394,16 @@ let router_reroutes () =
 let failover_clean () =
   let r = Failover.run ~ops:60 ~ship_every:7 ~checkpoint_every:45 ~schemes:[ "QED" ] ~seeds:1 () in
   check Alcotest.int "violations" 0 (List.length r.Failover.f_violations);
-  check Alcotest.bool "swept primary boundaries" true (r.Failover.f_promote_boundaries > 0);
-  check Alcotest.bool "swept replica boundaries" true (r.Failover.f_crash_boundaries > 0);
-  check Alcotest.bool "epoch roll forced a re-bootstrap" true (r.Failover.f_bootstraps > 1);
-  check Alcotest.bool "recovered crash images" true (r.Failover.f_recoveries > 0)
+  (* exact coverage of both sweeps, pinned so the engine cannot silently
+     examine less *)
+  check Alcotest.int "shipping rounds" 10 r.Failover.f_rounds;
+  check Alcotest.int "epoch roll forced a re-bootstrap" 2 r.Failover.f_bootstraps;
+  check Alcotest.int "promoted replica states" 10
+    (List.fold_left (fun a c -> a + c.Failover.c_promotions) 0 r.Failover.f_cases);
+  check Alcotest.int "swept primary boundaries" 102 r.Failover.f_promote_boundaries;
+  check Alcotest.int "swept replica boundaries" 99 r.Failover.f_crash_boundaries;
+  check Alcotest.int "crash images" 397 r.Failover.f_images;
+  check Alcotest.int "recovered crash images" 397 r.Failover.f_recoveries
 
 let failover_detects_injected_bug () =
   (* the harness is only worth its runtime if it can scream: skipping
