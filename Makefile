@@ -33,9 +33,14 @@ bench-hotpath: build
 
 # Crash-consistency torture: a small seeded workload, a power cut at every
 # syscall boundary, recovery verified on every surviving disk image. Exits
-# non-zero on any durability violation.
+# non-zero on any durability violation. The negative control reintroduces
+# the missing directory fsync: the command must report it by exiting
+# exactly 1 (not 0, and not 125, an uncaught exception).
 torture-smoke: build
 	dune exec bin/xmlrepro.exe -- torture --seeds 2 --ops 200
+	dune exec bin/xmlrepro.exe -- torture --seeds 1 --ops 30 --schemes QED \
+	  --unsafe-no-dir-fsync > _build/torture-control.out; status=$$?; \
+	  tail -n 2 _build/torture-control.out; test $$status -eq 1
 
 # Network server smoke: an in-process loopback serve driven by the seeded
 # load generator (6 clients ganged up on 2 shared documents so the
@@ -52,9 +57,13 @@ server-smoke: build
 # Replication failover torture: a primary/replica pair on simulated file
 # systems, a power cut at every syscall boundary on either side, the
 # promoted replica checked against exactly the acknowledged durable
-# prefix. Exits non-zero on any violation.
+# prefix. Exits non-zero on any violation; the negative control without
+# the directory fsync must exit exactly 1, as for torture-smoke.
 failover-smoke: build
 	dune exec bin/xmlrepro.exe -- failover --seeds 2 --ops 120
+	dune exec bin/xmlrepro.exe -- failover --seeds 1 --ops 60 --schemes QED \
+	  --unsafe-no-dir-fsync > _build/failover-control.out; status=$$?; \
+	  tail -n 2 _build/failover-control.out; test $$status -eq 1
 
 # Cluster smoke: 3 shards with one replica each as real child processes,
 # a mixed load routed by document hash (any protocol error fails the

@@ -12,8 +12,10 @@
    [-j N | --jobs N] evaluates the matrix and claims sections on N domains
    (results are identical at any N). Machine-readable outputs:
    BENCH_matrix.json and BENCH_claims.json (per-section wall-clock and
-   agreement, the repo's perf baseline), BENCH_parallel.json (sequential
-   vs parallel speedup curves), BENCH_hotpath.json (measurement-path
+   agreement) and BENCH_parallel.json (sequential vs parallel speedup
+   curves), which are rewritten on every run and not committed — the
+   gated performance benchmark is perfbench/, declared in BENCHMARK.json
+   — then BENCH_hotpath.json (measurement-path
    kernel timings and allocation), BENCH_journal.json (append
    ops/sec and recovery ms per checkpoint interval, per scheme) and
    BENCH_torture.json (crash-consistency coverage: boundaries, images,

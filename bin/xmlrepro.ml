@@ -518,60 +518,78 @@ let journal_cmd =
           over the snapshot store.")
     [ journal_record_cmd; journal_recover_cmd; journal_checkpoint_cmd; journal_inspect_cmd ]
 
-(* ---- torture ----------------------------------------------------- *)
+(* ---- torture / failover: the crash sweeps ------------------------- *)
 
-let torture_cmd =
-  let run seeds ops fsync_every checkpoint_every schemes verbose unsafe_no_dir_fsync =
+module Torture = Repro_torture.Torture
+
+(* One command shape for both crash-sweep entry points: the shared flags,
+   progress line per case, one violation per (case, sweep) unless
+   --verbose, the coverage summary, exit 1 on any violation. *)
+let crash_sweep_cmd name ~doc ~seeds ~ops ~interval:(interval_flag, interval, interval_doc)
+    ~checkpoint_every ~checkpoint_doc sweep =
+  let run seeds ops interval checkpoint_every schemes verbose unsafe_no_dir_fsync =
     if unsafe_no_dir_fsync then Repro_io.Io.unsafe_no_dir_fsync := true;
+    let progress (c : Torture.case) =
+      let rounds, boundaries =
+        if c.c_rounds = 0 then ("", Printf.sprintf "%5d" c.c_boundaries)
+        else
+          ( Printf.sprintf "  %3d rounds  %2d bootstraps" c.c_rounds c.c_bootstraps,
+            Printf.sprintf "%4d+%4d" c.c_boundaries c.c_replica_boundaries )
+      in
+      Printf.printf "%-8s seed %-3d%s  %s boundaries  %6d images  %d violation(s)\n%!"
+        c.c_scheme c.c_seed rounds boundaries c.c_images c.c_violations
+    in
     let report =
-      try
-        Repro_torture.Torture.run ~seeds ~ops ~fsync_every ~checkpoint_every ~schemes
-          ~progress:(fun c ->
-            Printf.printf "%-8s seed %-3d  %5d boundaries  %6d images  %d violation(s)\n%!"
-              c.Repro_torture.Torture.c_scheme c.c_seed c.c_boundaries c.c_images
-              c.c_violations)
-          ()
+      try sweep ~seeds ~ops ~interval ~checkpoint_every ~schemes ~progress
       with Invalid_argument msg ->
         Format.eprintf "%s@." msg;
         exit 1
     in
-    let shown = if verbose then report.Repro_torture.Torture.t_violations
+    let shown =
+      if verbose then report.Torture.t_violations
       else
-        (* one representative per (scheme, seed) keeps the report readable *)
+        (* one representative per (scheme, seed, sweep) keeps the report readable *)
         List.rev
           (List.fold_left
-             (fun acc (v : Repro_torture.Torture.violation) ->
-               let seen (w : Repro_torture.Torture.violation) =
-                 w.v_scheme = v.v_scheme && w.v_seed = v.v_seed
+             (fun acc (v : Torture.violation) ->
+               let seen (w : Torture.violation) =
+                 w.v_scheme = v.v_scheme && w.v_seed = v.v_seed && w.v_sweep = v.v_sweep
                in
                if List.exists seen acc then acc else v :: acc)
-             [] report.Repro_torture.Torture.t_violations)
+             [] report.t_violations)
     in
     List.iter
-      (fun (v : Repro_torture.Torture.violation) ->
-        Printf.printf "VIOLATION %s seed %d boundary %d image %d: %s\n" v.v_scheme v.v_seed
-          v.v_boundary v.v_image v.v_reason)
+      (fun (v : Torture.violation) ->
+        Printf.printf "VIOLATION [%s] %s seed %d boundary %d image %d: %s\n"
+          (Torture.sweep_name v.v_sweep) v.v_scheme v.v_seed v.v_boundary v.v_image v.v_reason)
       shown;
-    Printf.printf "crash points: %d, images: %d, recoveries: %d\n"
-      report.Repro_torture.Torture.t_boundaries report.t_images report.t_recoveries;
+    if report.t_rounds = 0 then
+      Printf.printf "crash points: %d, images: %d, recoveries: %d\n" report.t_boundaries
+        report.t_images report.t_recoveries
+    else begin
+      Printf.printf
+        "rounds: %d, bootstraps: %d, promotions checked over %d primary boundaries\n"
+        report.t_rounds report.t_bootstraps report.t_boundaries;
+      Printf.printf "replica crash points: %d, images: %d, recoveries: %d\n"
+        report.t_replica_boundaries report.t_images report.t_recoveries
+    end;
     Printf.printf "violations: %d\n" (List.length report.t_violations);
     if report.t_violations <> [] then exit 1
   in
   let seeds =
-    Arg.(value & opt int 5
-         & info [ "seeds" ] ~docv:"N" ~doc:"Torture seeds 0 .. $(docv)-1 per scheme.")
+    Arg.(value & opt int seeds
+         & info [ "seeds" ] ~docv:"N" ~doc:"Seeds 0 .. $(docv)-1 per scheme.")
   in
   let ops =
-    Arg.(value & opt int 200
+    Arg.(value & opt int ops
          & info [ "ops" ] ~docv:"N" ~doc:"Update operations per workload.")
   in
-  let fsync_every =
-    Arg.(value & opt int 8
-         & info [ "fsync-every" ] ~docv:"N" ~doc:"Flush the log every $(docv) operations.")
+  let interval =
+    Arg.(value & opt int interval & info [ interval_flag ] ~docv:"N" ~doc:interval_doc)
   in
   let checkpoint_every =
-    Arg.(value & opt int 75
-         & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Checkpoint every $(docv) operations.")
+    Arg.(value & opt int checkpoint_every
+         & info [ "checkpoint-every" ] ~docv:"N" ~doc:checkpoint_doc)
   in
   let schemes =
     Arg.(value & opt (list string) [ "QED"; "Vector" ]
@@ -586,15 +604,39 @@ let torture_cmd =
              ~doc:"Skip the directory fsync after atomic renames (reintroduces a real \
                    crash-consistency bug; the harness should then report violations).")
   in
-  Cmd.v
-    (Cmd.info "torture"
-       ~doc:
-         "Crash-consistency torture: run seeded workloads through the durable session \
-          on a simulated file system, power-cut at every syscall boundary, recover from \
-          every surviving disk image and machine-check the durability invariants.")
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ seeds $ ops $ fsync_every $ checkpoint_every $ schemes $ verbose
+      const run $ seeds $ ops $ interval $ checkpoint_every $ schemes $ verbose
       $ unsafe_no_dir_fsync)
+
+let torture_cmd =
+  crash_sweep_cmd "torture"
+    ~doc:
+      "Crash-consistency torture: run seeded workloads through the durable session \
+       on a simulated file system, power-cut at every syscall boundary, recover from \
+       every surviving disk image and machine-check the durability invariants."
+    ~seeds:5 ~ops:200
+    ~interval:("fsync-every", 8, "Flush the log every $(docv) operations.")
+    ~checkpoint_every:75 ~checkpoint_doc:"Checkpoint every $(docv) operations."
+    (fun ~seeds ~ops ~interval ~checkpoint_every ~schemes ~progress ->
+      Torture.run ~seeds ~ops ~fsync_every:interval ~checkpoint_every ~schemes ~progress ())
+
+let failover_cmd =
+  crash_sweep_cmd "failover"
+    ~doc:
+      "Replication failover torture: run a primary and a journal-shipping \
+       replica on separate simulated file systems, power-cut the primary at \
+       every syscall boundary and machine-check that the promoted replica \
+       serves exactly the acknowledged durable prefix; power-cut the replica \
+       at every boundary and machine-check its own recovery."
+    ~seeds:3 ~ops:120
+    ~interval:("ship-every", 7, "Ship a replication round every $(docv) operations.")
+    ~checkpoint_every:45
+    ~checkpoint_doc:
+      "Checkpoint the primary every $(docv) operations (rolls the epoch and forces \
+       the replica through re-bootstrap)."
+    (fun ~seeds ~ops ~interval ~checkpoint_every ~schemes ~progress ->
+      Torture.failover ~seeds ~ops ~ship_every:interval ~checkpoint_every ~schemes ~progress ())
 
 (* ---- serve / loadgen --------------------------------------------- *)
 
@@ -1316,98 +1358,6 @@ let cluster_cmd =
     Term.(
       const run $ shards $ replicas $ root $ fsync_every $ commit_interval $ commit_max
       $ smoke $ smoke_ops)
-
-(* ---- failover torture -------------------------------------------- *)
-
-let failover_cmd =
-  let module F = Repro_cluster.Failover in
-  let run seeds ops ship_every checkpoint_every schemes verbose unsafe_no_dir_fsync =
-    if unsafe_no_dir_fsync then Repro_io.Io.unsafe_no_dir_fsync := true;
-    let report =
-      try
-        F.run ~seeds ~ops ~ship_every ~checkpoint_every ~schemes
-          ~progress:(fun c ->
-            Printf.printf
-              "%-8s seed %-3d  %3d rounds  %2d bootstraps  %4d+%4d boundaries  %6d \
-               images  %d violation(s)\n\
-               %!"
-              c.F.c_scheme c.F.c_seed c.F.c_rounds c.F.c_bootstraps
-              c.F.c_promote_boundaries c.F.c_crash_boundaries c.F.c_images
-              c.F.c_violations)
-          ()
-      with Invalid_argument msg ->
-        Format.eprintf "%s@." msg;
-        exit 1
-    in
-    let shown =
-      if verbose then report.F.f_violations
-      else
-        List.rev
-          (List.fold_left
-             (fun acc (v : F.violation) ->
-               let seen (w : F.violation) =
-                 w.F.v_scheme = v.F.v_scheme && w.F.v_seed = v.F.v_seed
-                 && w.F.v_sweep = v.F.v_sweep
-               in
-               if List.exists seen acc then acc else v :: acc)
-             [] report.F.f_violations)
-    in
-    List.iter
-      (fun (v : F.violation) ->
-        Printf.printf "VIOLATION [%s] %s seed %d boundary %d image %d: %s\n"
-          (F.sweep_name v.F.v_sweep) v.F.v_scheme v.F.v_seed v.F.v_boundary v.F.v_image
-          v.F.v_reason)
-      shown;
-    Printf.printf
-      "rounds: %d, bootstraps: %d, promotions checked over %d primary boundaries\n"
-      report.F.f_rounds report.F.f_bootstraps report.F.f_promote_boundaries;
-    Printf.printf "replica crash points: %d, images: %d, recoveries: %d\n"
-      report.F.f_crash_boundaries report.F.f_images report.F.f_recoveries;
-    Printf.printf "violations: %d\n" (List.length report.F.f_violations);
-    if report.F.f_violations <> [] then exit 1
-  in
-  let seeds =
-    Arg.(value & opt int 3
-         & info [ "seeds" ] ~docv:"N" ~doc:"Failover seeds 0 .. $(docv)-1 per scheme.")
-  in
-  let ops =
-    Arg.(value & opt int 120
-         & info [ "ops" ] ~docv:"N" ~doc:"Update operations per workload.")
-  in
-  let ship_every =
-    Arg.(value & opt int 7
-         & info [ "ship-every" ] ~docv:"N" ~doc:"Ship a replication round every $(docv) operations.")
-  in
-  let checkpoint_every =
-    Arg.(value & opt int 45
-         & info [ "checkpoint-every" ] ~docv:"N"
-             ~doc:"Checkpoint the primary every $(docv) operations (rolls the epoch and \
-                   forces the replica through re-bootstrap).")
-  in
-  let schemes =
-    Arg.(value & opt (list string) [ "QED"; "Vector" ]
-         & info [ "schemes" ] ~docv:"NAMES" ~doc:"Comma-separated scheme names to torture.")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Print every violation, not one per case.")
-  in
-  let unsafe_no_dir_fsync =
-    Arg.(value & flag
-         & info [ "unsafe-no-dir-fsync" ]
-             ~doc:"Skip the directory fsync after atomic renames (reintroduces a real \
-                   crash-consistency bug; the harness should then report violations).")
-  in
-  Cmd.v
-    (Cmd.info "failover"
-       ~doc:
-         "Replication failover torture: run a primary and a journal-shipping \
-          replica on separate simulated file systems, power-cut the primary at \
-          every syscall boundary and machine-check that the promoted replica \
-          serves exactly the acknowledged durable prefix; power-cut the replica \
-          at every boundary and machine-check its own recovery.")
-    Term.(
-      const run $ seeds $ ops $ ship_every $ checkpoint_every $ schemes $ verbose
-      $ unsafe_no_dir_fsync)
 
 (* ---- report ------------------------------------------------------ *)
 

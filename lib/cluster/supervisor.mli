@@ -15,7 +15,7 @@
     it ([Docs]) what it carries, sends [Promote] for every follower
     document, and publishes the replica as the new primary. Only the
     durable prefix the replica acknowledged survives — exactly the
-    guarantee the failover torture harness ({!Failover}) checks at
+    guarantee the failover crash sweep ([Repro_torture.Torture.failover]) checks at
     every syscall boundary. *)
 
 type child = {

@@ -177,8 +177,12 @@ let tokenize src =
       i := j + 1
     end
     else if c >= '0' && c <= '9' then begin
+      (* digits, then at most one '.' and its digits *)
       let start = !i in
-      while !i < n && ((src.[!i] >= '0' && src.[!i] <= '9') || src.[!i] = '.') do incr i done;
+      let digits () = while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do incr i done in
+      digits ();
+      if !i < n && src.[!i] = '.' then begin incr i; digits () end;
+      if !i < n && src.[!i] = '.' then fail pos "malformed number";
       push (Tnumber (float_of_string (String.sub src start (!i - start)))) pos
     end
     else if is_name_start c then begin

@@ -16,7 +16,6 @@ module Client = Repro_server.Server_client
 module T = Repro_torture.Torture
 module Topology = Repro_cluster.Topology
 module Router = Repro_cluster.Router
-module Failover = Repro_cluster.Failover
 
 let check = Alcotest.check
 
@@ -392,18 +391,31 @@ let router_reroutes () =
 (* ---- failover torture ------------------------------------------------ *)
 
 let failover_clean () =
-  let r = Failover.run ~ops:60 ~ship_every:7 ~checkpoint_every:45 ~schemes:[ "QED" ] ~seeds:1 () in
-  check Alcotest.int "violations" 0 (List.length r.Failover.f_violations);
+  let r = T.failover ~ops:60 ~ship_every:7 ~checkpoint_every:45 ~schemes:[ "QED" ] ~seeds:1 () in
+  check Alcotest.int "violations" 0 (List.length r.T.t_violations);
   (* exact coverage of both sweeps, pinned so the engine cannot silently
      examine less *)
-  check Alcotest.int "shipping rounds" 10 r.Failover.f_rounds;
-  check Alcotest.int "epoch roll forced a re-bootstrap" 2 r.Failover.f_bootstraps;
+  check Alcotest.int "shipping rounds" 10 r.T.t_rounds;
+  check Alcotest.int "epoch roll forced a re-bootstrap" 2 r.T.t_bootstraps;
   check Alcotest.int "promoted replica states" 10
-    (List.fold_left (fun a c -> a + c.Failover.c_promotions) 0 r.Failover.f_cases);
-  check Alcotest.int "swept primary boundaries" 102 r.Failover.f_promote_boundaries;
-  check Alcotest.int "swept replica boundaries" 99 r.Failover.f_crash_boundaries;
-  check Alcotest.int "crash images" 397 r.Failover.f_images;
-  check Alcotest.int "recovered crash images" 397 r.Failover.f_recoveries
+    (List.fold_left (fun a c -> a + c.T.c_promotions) 0 r.T.t_cases);
+  check Alcotest.int "swept primary boundaries" 102 r.T.t_boundaries;
+  check Alcotest.int "swept replica boundaries" 99 r.T.t_replica_boundaries;
+  check Alcotest.int "crash images" 397 r.T.t_images;
+  check Alcotest.int "recovered crash images" 397 r.T.t_recoveries
+
+let failover_rejects_unrunnable () =
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | (_ : T.report) -> Alcotest.failf "%s was accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("ship_every 0", fun () -> T.failover ~ship_every:0 ~seeds:1 ());
+      ("ship_every -7", fun () -> T.failover ~ship_every:(-7) ~seeds:1 ());
+      ("checkpoint_every 0", fun () -> T.failover ~checkpoint_every:0 ~seeds:1 ());
+      ("seeds 0", fun () -> T.failover ~seeds:0 ());
+    ]
 
 let failover_detects_injected_bug () =
   (* the harness is only worth its runtime if it can scream: skipping
@@ -414,11 +426,11 @@ let failover_detects_injected_bug () =
     Fun.protect
       ~finally:(fun () -> Repro_io.Io.unsafe_no_dir_fsync := false)
       (fun () ->
-        Failover.run ~ops:60 ~ship_every:7 ~checkpoint_every:45 ~schemes:[ "QED" ]
+        T.failover ~ops:60 ~ship_every:7 ~checkpoint_every:45 ~schemes:[ "QED" ]
           ~seeds:1 ())
   in
   check Alcotest.bool "the broken file system is caught" true
-    (List.length r.Failover.f_violations > 0)
+    (List.length r.T.t_violations > 0)
 
 let suite =
   [
@@ -434,6 +446,8 @@ let suite =
     Alcotest.test_case "live pair: follow, drain, refuse, promote" `Quick live_replication;
     Alcotest.test_case "router chases a topology rewrite" `Quick router_reroutes;
     Alcotest.test_case "failover torture: clean pair passes" `Quick failover_clean;
+    Alcotest.test_case "failover torture: unrunnable intervals and seeds refused" `Quick
+      failover_rejects_unrunnable;
     Alcotest.test_case "failover torture: broken fsync caught" `Quick
       failover_detects_injected_bug;
   ]

@@ -349,11 +349,27 @@ let torture_smoke () =
   let report = Repro_torture.Torture.run ~seeds:1 ~ops:30 ~schemes:[ "QED" ] () in
   check Alcotest.int "no violations" 0
     (List.length report.Repro_torture.Torture.t_violations);
-  (* exact coverage: a change to the workload driver or the sweep that
+  (* exact coverage: a change to the workload or the sweep that
      crashes at fewer points or examines fewer images shows here *)
   check Alcotest.int "crashed at every boundary" 50 report.Repro_torture.Torture.t_boundaries;
   check Alcotest.int "crash images" 129 report.Repro_torture.Torture.t_images;
   check Alcotest.int "recovered every image" 129 report.Repro_torture.Torture.t_recoveries
+
+(* Intervals below 1 once divided by zero or silently acted as their
+   absolute value, and zero seeds passed with no coverage: all are
+   refused before any work. *)
+let torture_rejects_unrunnable () =
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | (_ : Repro_torture.Torture.report) -> Alcotest.failf "%s was accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("fsync_every 0", fun () -> Repro_torture.Torture.run ~fsync_every:0 ~seeds:1 ());
+      ("fsync_every -8", fun () -> Repro_torture.Torture.run ~fsync_every:(-8) ~seeds:1 ());
+      ("checkpoint_every 0", fun () -> Repro_torture.Torture.run ~checkpoint_every:0 ~seeds:1 ());
+      ("seeds 0", fun () -> Repro_torture.Torture.run ~seeds:0 ());
+    ]
 
 (* The harness's reason to exist: with the directory fsync after atomic
    renames turned off (the historical bug), it must find violations. *)
@@ -388,6 +404,8 @@ let suite =
     Alcotest.test_case "sock: accept retries eintr" `Quick sock_accept_retries_eintr;
     Alcotest.test_case "sock: failure is typed" `Quick sock_failure_is_typed;
     Alcotest.test_case "torture smoke" `Slow torture_smoke;
+    Alcotest.test_case "torture rejects intervals and seeds that cannot run" `Quick
+      torture_rejects_unrunnable;
     Alcotest.test_case "torture catches missing dir fsync" `Slow
       torture_catches_missing_dir_fsync;
   ]

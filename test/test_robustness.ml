@@ -106,6 +106,113 @@ let interval_gap_parameter () =
   let root_label = session.Core.Session.label_string (Tree.root doc) in
   check Alcotest.string "gap applied" "[64,1280]@0" root_label
 
+(* Mutation fuzz over the four text parsers: served query shapes and
+   test scripts, each mutated by seeded bit flips, truncations and
+   inserted punctuation. Whatever the input, the only exception that may
+   escape a parser is the one its interface declares. *)
+module Topology = Repro_cluster.Topology
+
+let xpath_corpus =
+  [
+    "//item"; "//section//field"; "//entry[field]"; "//group/@*"; "/*/*"; "//record[2]";
+    "//item/following-sibling::*"; "//list[count(item) > 0]";
+    "//editor[name='Destiny Image']/address"; "//a[@d != 3.5]"; "/book/title/@genre";
+    "/descendant::item[position() <= 2]/ancestor-or-self::node()"; "//b[. >= 1.25]/..";
+  ]
+
+let twig_corpus =
+  [ "item[field]"; "section[//field]"; "entry[field][//meta]"; "book[title][publisher//name]" ]
+
+let update_corpus =
+  [
+    {|insert <a x="1"/> before //b; delete //c[d > 2]; replace value of //e with "v;1"; rename //f as g; move //h after //i|};
+    "insert <note>x</note> as last into /book; delete //note";
+    "delete //publisher; rename //author as writer";
+  ]
+
+let topology_corpus =
+  let node port = { Topology.n_host = "127.0.0.1"; n_port = port } in
+  [
+    Topology.render
+      {
+        Topology.version = 3;
+        shards =
+          [|
+            { Topology.s_primary = node 7001; s_replicas = [ node 7002; node 7003 ] };
+            { Topology.s_primary = node 7004; s_replicas = [] };
+          |];
+      };
+  ]
+
+let mutate rng text =
+  let n = String.length text in
+  let at = Repro_codes.Prng.int rng (n + 1) in
+  match Repro_codes.Prng.int rng 3 with
+  | 0 when n > 0 ->
+    let at = min at (n - 1) in
+    let b = Bytes.of_string text in
+    Bytes.set b at (Char.chr (Char.code text.[at] lxor (1 lsl Repro_codes.Prng.int rng 8)));
+    Bytes.to_string b
+  | 1 -> String.sub text 0 at
+  | _ ->
+    let punct = "[]()/@*.:,=!<>'\";0123456789 -" in
+    String.sub text 0 at
+    ^ String.make 1 punct.[Repro_codes.Prng.int rng (String.length punct)]
+    ^ String.sub text at (n - at)
+
+let parsers_raise_only_declared_errors () =
+  let fuzz name corpus parse declared =
+    let rng = Repro_codes.Prng.create 23 in
+    List.iter
+      (fun text ->
+        for _ = 1 to 20000 do
+          (* up to three stacked mutations per input *)
+          let input = ref text in
+          for _ = 0 to Repro_codes.Prng.int rng 3 do input := mutate rng !input done;
+          match parse !input with
+          | () -> ()
+          | exception e when declared e -> ()
+          | exception e ->
+            Alcotest.failf "%s %S raised %s" name !input (Printexc.to_string e)
+        done)
+      corpus
+  in
+  fuzz "Xpath.parse" xpath_corpus
+    (fun s -> ignore (Repro_encoding.Xpath.parse s))
+    (function Repro_encoding.Xpath.Parse_error _ -> true | _ -> false);
+  fuzz "Twig.parse" twig_corpus
+    (fun s -> ignore (Repro_encoding.Twig.parse s))
+    (function Repro_encoding.Twig.Parse_error _ -> true | _ -> false);
+  fuzz "Update_lang.parse" update_corpus
+    (fun s -> ignore (Repro_encoding.Update_lang.parse s))
+    (function Repro_encoding.Update_lang.Error _ -> true | _ -> false);
+  fuzz "Topology.parse" topology_corpus
+    (fun s -> ignore (Topology.parse s))
+    (function Topology.Bad_topology _ -> true | _ -> false)
+
+(* A number token takes digits, at most one '.', then digits; a second
+   '.' is a positioned parse error, and over the wire a query error the
+   client can point at, not an internal one. *)
+let malformed_number () =
+  let bad = "//a[@d != 3.5.]" in
+  (match Repro_encoding.Xpath.parse bad with
+  | _ -> Alcotest.fail "a malformed number parsed"
+  | exception Repro_encoding.Xpath.Parse_error { position; _ } ->
+    check Alcotest.int "positioned at the number" 10 position);
+  let module P = Repro_server.Protocol in
+  let module Q = Repro_server.Query_eval in
+  let inc = Repro_encoding.Axis_inc.create (Samples.book ()) in
+  let snap = Repro_encoding.Axis_inc.snapshot inc in
+  (match
+     Q.serve (Repro_server.Metrics.create ()) ~paranoid:false
+       ~doc_rev:(Repro_encoding.Axis_inc.rev snap) ~inc ~pub_time:0. ~snap (Q.Q_xpath bad)
+       ~limit:10
+   with
+  | P.Query_error { qe_parse = true; qe_pos; _ } ->
+    check Alcotest.int "query error position" 10 qe_pos
+  | _ -> Alcotest.fail "a malformed number was not served as a parse error");
+  Repro_encoding.Axis_inc.detach inc
+
 let suite =
   [
     ("single-node document for every scheme", `Quick, single_node_everywhere);
@@ -115,4 +222,6 @@ let suite =
     ("session error surfaces", `Quick, session_api_errors);
     ("patterns on a degenerate document", `Quick, empty_update_patterns);
     ("interval gap parameter", `Quick, interval_gap_parameter);
+    ("parsers raise only their declared errors", `Quick, parsers_raise_only_declared_errors);
+    ("malformed xpath number is a parse error", `Quick, malformed_number);
   ]
