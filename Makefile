@@ -26,10 +26,13 @@ bench-smoke: build
 
 # The measurement hot path benchmark: times the incremental-statistics
 # kernels and runs the paranoid cross-check over the whole registry.
-# Writes BENCH_hotpath.json and exits non-zero if the order check fails
-# or any tracked statistic diverges from its recomputation.
+# Exits non-zero if the order check fails or any tracked statistic
+# diverges from its recomputation. It runs from _build/bench-hotpath, so
+# the BENCH_hotpath.json it writes lands there and the committed one
+# stays as it is: make check leaves tracked files unchanged.
 bench-hotpath: build
-	dune exec bench/main.exe -- hotpath
+	mkdir -p _build/bench-hotpath
+	cd _build/bench-hotpath && ../default/bench/main.exe hotpath
 
 # Crash-consistency torture: a small seeded workload, a power cut at every
 # syscall boundary, recovery verified on every surviving disk image. Exits

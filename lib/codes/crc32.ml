@@ -1,28 +1,22 @@
-(* Table-driven CRC-32 with the reflected IEEE polynomial 0xEDB88320. *)
+(* Table-driven CRC-32 with the reflected IEEE polynomial 0xEDB88320, on
+   native ints: the running value stays within 32 bits, so nothing is
+   boxed per byte. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let update crc s =
-  let table = Lazy.force table in
   let crc = ref crc in
-  String.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl) in
-      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-    s;
+  for i = 0 to String.length s - 1 do
+    crc := table.((!crc lxor Char.code s.[i]) land 0xFF) lxor (!crc lsr 8)
+  done;
   !crc
 
-let strings parts =
-  Int32.logxor 0xFFFFFFFFl (List.fold_left update 0xFFFFFFFFl parts)
+let strings parts = Int32.of_int (0xFFFFFFFF lxor List.fold_left update 0xFFFFFFFF parts)
 
 let string s = strings [ s ]

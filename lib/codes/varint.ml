@@ -12,29 +12,32 @@ let byte_length v =
 
 let bits v = 8 * byte_length v
 
-let encode v =
-  match byte_length v with
-  | 1 -> String.make 1 (Char.chr v)
-  | 2 ->
-    let b0 = 0xC0 lor (v lsr 6) and b1 = 0x80 lor (v land 0x3F) in
-    Printf.sprintf "%c%c" (Char.chr b0) (Char.chr b1)
-  | 3 ->
-    let b0 = 0xE0 lor (v lsr 12)
-    and b1 = 0x80 lor ((v lsr 6) land 0x3F)
-    and b2 = 0x80 lor (v land 0x3F) in
-    Printf.sprintf "%c%c%c" (Char.chr b0) (Char.chr b1) (Char.chr b2)
-  | _ ->
-    let b0 = 0xF0 lor (v lsr 18)
-    and b1 = 0x80 lor ((v lsr 12) land 0x3F)
-    and b2 = 0x80 lor ((v lsr 6) land 0x3F)
-    and b3 = 0x80 lor (v land 0x3F) in
-    Printf.sprintf "%c%c%c%c" (Char.chr b0) (Char.chr b1) (Char.chr b2)
-      (Char.chr b3)
+(* Leading byte of an [n]-byte sequence, before its payload bits. *)
+let lead = [| 0; 0; 0xC0; 0xE0; 0xF0 |]
 
-let continuation s pos =
-  if pos >= String.length s then
-    invalid_arg "Varint.decode: truncated sequence";
-  let b = Char.code s.[pos] in
+let nth_byte v ~len i =
+  if len = 1 then v
+  else if i = 0 then lead.(len) lor (v lsr (6 * (len - 1)))
+  else 0x80 lor ((v lsr (6 * (len - 1 - i))) land 0x3F)
+
+let encode v =
+  let len = byte_length v in
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.set b i (Char.chr (nth_byte v ~len i))
+  done;
+  Bytes.unsafe_to_string b
+
+let length_of_lead b0 =
+  if b0 < 0x80 then 1
+  else if b0 land 0xE0 = 0xC0 then 2
+  else if b0 land 0xF0 = 0xE0 then 3
+  else if b0 land 0xF8 = 0xF0 then 4
+  else invalid_arg "Varint.decode: bad leading byte"
+
+let lead_payload b0 ~len = if len = 1 then b0 else b0 land (0xFF lsr (len + 1))
+
+let continuation_payload b =
   if b land 0xC0 <> 0x80 then invalid_arg "Varint.decode: bad continuation";
   b land 0x3F
 
@@ -42,26 +45,13 @@ let decode s pos =
   if pos < 0 || pos >= String.length s then
     invalid_arg "Varint.decode: position out of range";
   let b0 = Char.code s.[pos] in
-  if b0 < 0x80 then (b0, pos + 1)
-  else if b0 land 0xE0 = 0xC0 then
-    let v = ((b0 land 0x1F) lsl 6) lor continuation s (pos + 1) in
-    (v, pos + 2)
-  else if b0 land 0xF0 = 0xE0 then
-    let v =
-      ((b0 land 0x0F) lsl 12)
-      lor (continuation s (pos + 1) lsl 6)
-      lor continuation s (pos + 2)
-    in
-    (v, pos + 3)
-  else if b0 land 0xF8 = 0xF0 then
-    let v =
-      ((b0 land 0x07) lsl 18)
-      lor (continuation s (pos + 1) lsl 12)
-      lor (continuation s (pos + 2) lsl 6)
-      lor continuation s (pos + 3)
-    in
-    (v, pos + 4)
-  else invalid_arg "Varint.decode: bad leading byte"
+  let len = length_of_lead b0 in
+  if pos + len > String.length s then invalid_arg "Varint.decode: truncated sequence";
+  let v = ref (lead_payload b0 ~len) in
+  for i = 1 to len - 1 do
+    v := (!v lsl 6) lor continuation_payload (Char.code s.[pos + i])
+  done;
+  (!v, pos + len)
 
 let encode_list vs = String.concat "" (List.map encode vs)
 

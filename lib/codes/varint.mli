@@ -27,5 +27,21 @@ val decode : string -> int -> int * int
 (** [decode s pos] reads one value at byte offset [pos] and returns
     [(value, next_pos)]. Raises [Invalid_argument] on malformed input. *)
 
+val nth_byte : int -> len:int -> int -> int
+(** [nth_byte v ~len i] is byte [i] of {!encode}[ v], where [len] is
+    [byte_length v] — for writers that emit the bytes one at a time
+    instead of allocating the string. *)
+
+val length_of_lead : int -> int
+(** Length of the sequence a leading byte opens: 1, 2, 3 or 4. Raises
+    [Invalid_argument] on a byte no sequence starts with. *)
+
+val lead_payload : int -> len:int -> int
+(** The payload bits of a leading byte, for a sequence of [len] bytes. *)
+
+val continuation_payload : int -> int
+(** The six payload bits of a continuation byte. Raises
+    [Invalid_argument] on a byte that is not one. *)
+
 val encode_list : int list -> string
 val decode_all : string -> int list

@@ -384,6 +384,7 @@ let sweep_all ~fn ~replicated ~interval:(interval_name, interval) ~ops ~checkpoi
     if v < 1 then invalid_arg (Printf.sprintf "%s: %s must be at least 1, got %d" fn what v)
   in
   at_least_1 "seeds" seeds;
+  at_least_1 "ops" ops;
   at_least_1 interval_name interval;
   at_least_1 "checkpoint_every" checkpoint_every;
   let packs =

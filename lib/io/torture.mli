@@ -112,9 +112,9 @@ val run :
     relabelling scheme), [seeds] numbers [0 .. seeds-1], [ops] defaults
     to 200, [fsync_every] to 8, [checkpoint_every] to 75. [progress]
     fires after each completed case. Raises [Invalid_argument] on an
-    unknown scheme name, on [seeds < 1] or on an interval below 1; a
-    harness-internal inconsistency (replay divergence) raises [Failure]
-    rather than being reported as a journal violation. *)
+    unknown scheme name, on [seeds < 1], on [ops < 1] or on an interval
+    below 1; a harness-internal inconsistency (replay divergence) raises
+    [Failure] rather than being reported as a journal violation. *)
 
 val failover :
   ?ops:int ->

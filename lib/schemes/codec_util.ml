@@ -4,24 +4,22 @@ open Repro_codes
 
 let write_byte w b = Bitpack.write_bits w b 8
 
+(* Varint bytes go straight to and from the bit stream, one at a time:
+   no string per component. *)
 let write_varint w v =
-  String.iter (fun c -> write_byte w (Char.code c)) (Varint.encode v)
+  let len = Varint.byte_length v in
+  for i = 0 to len - 1 do
+    write_byte w (Varint.nth_byte v ~len i)
+  done
 
 let read_varint r =
   let b0 = Bitpack.read_bits r 8 in
-  let extra =
-    if b0 < 0x80 then 0
-    else if b0 land 0xE0 = 0xC0 then 1
-    else if b0 land 0xF0 = 0xE0 then 2
-    else if b0 land 0xF8 = 0xF0 then 3
-    else invalid_arg "Codec_util.read_varint: bad leading byte"
-  in
-  let buf = Bytes.create (extra + 1) in
-  Bytes.set buf 0 (Char.chr b0);
-  for i = 1 to extra do
-    Bytes.set buf i (Char.chr (Bitpack.read_bits r 8))
+  let len = Varint.length_of_lead b0 in
+  let v = ref (Varint.lead_payload b0 ~len) in
+  for _ = 2 to len do
+    v := (!v lsl 6) lor Varint.continuation_payload (Bitpack.read_bits r 8)
   done;
-  fst (Varint.decode (Bytes.to_string buf) 0)
+  !v
 
 (* Zigzag maps signed values to naturals so varint/prefix-free layouts
    apply: 0, -1, 1, -2, 2, ... -> 0, 1, 2, 3, 4, ... *)

@@ -210,30 +210,28 @@ let serve_miss metrics ~paranoid snap cache query ~limit =
   | _ -> ());
   resp
 
-let serve metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ?cache query ~limit =
-  let wall0 = Unix.gettimeofday () in
-  let t0 = Metrics.monotonic_ns () in
-  let limit = max 0 (min limit max_rows) in
-  let looked = Option.map (fun c -> lookup c (query, limit) (Axis_inc.source snap)) cache in
-  let resp =
-    try
-      match looked with
-      | Some (Ok e) -> serve_hit metrics ~paranoid snap query ~limit e
-      | Some (Error _) | None -> serve_miss metrics ~paranoid snap cache query ~limit
-    with Divergence msg ->
-      Metrics.record metrics ~key:"query/paranoid" ~ok:false ~ns:0;
-      P.Err (P.Internal, "paranoid divergence: " ^ msg)
-  in
+let clamp limit = max 0 (min limit max_rows)
+
+let guarded metrics f =
+  try f ()
+  with Divergence msg ->
+    Metrics.record metrics ~key:"query/paranoid" ~ok:false ~ns:0;
+    P.Err (P.Internal, "paranoid divergence: " ^ msg)
+
+(* The one accounting of a served query, hit or miss, from the clocks
+   read before its probe: the outcome's counters ([query/eval] counts
+   only answers that were evaluated to be served), the paranoid
+   re-verification, and the staleness and upkeep of the pair served. *)
+let account metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ~wall0 ~t0 outcome resp =
   let ns = Int64.to_int (Int64.sub (Metrics.monotonic_ns ()) t0) in
   let ok = match resp with P.Query_r _ -> true | _ -> false in
-  (* [query/eval] counts only answers that were evaluated to be served *)
-  (match looked with
-  | Some (Ok _) -> Metrics.record metrics ~key:"query/cache_hit" ~ok ~ns
-  | Some (Error why) ->
+  (match outcome with
+  | `Hit -> Metrics.record metrics ~key:"query/cache_hit" ~ok ~ns
+  | `Miss why ->
     Metrics.record metrics ~key:"query/cache_miss" ~ok ~ns:0;
     Metrics.record metrics ~key:why ~ok ~ns:0;
     Metrics.record metrics ~key:"query/eval" ~ok ~ns
-  | None -> Metrics.record metrics ~key:"query/eval" ~ok ~ns);
+  | `Uncached -> Metrics.record metrics ~key:"query/eval" ~ok ~ns);
   (match resp with
   | P.Query_r _ when paranoid -> Metrics.record metrics ~key:"query/paranoid" ~ok:true ~ns:0
   | _ -> ());
@@ -249,3 +247,30 @@ let serve metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ?cache query ~limit =
     Metrics.gauge metrics ~key:"query/maint_ns_per_op"
       ~value:(Int64.to_int (Int64.div st.Axis_inc.ns (Int64.of_int st.Axis_inc.ops)));
   resp
+
+(* The reply to a hit, accounted, or the metric key saying why [cache]
+   has none at [snap] (nothing is recorded for a miss here: the miss
+   path accounts it). *)
+let hit metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ~wall0 ~t0 cache query ~limit =
+  let limit = clamp limit in
+  match lookup cache (query, limit) (Axis_inc.source snap) with
+  | Error why -> Error why
+  | Ok e ->
+    let resp = guarded metrics (fun () -> serve_hit metrics ~paranoid snap query ~limit e) in
+    Ok (account metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ~wall0 ~t0 `Hit resp)
+
+let probe metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap cache query ~limit =
+  let wall0 = Unix.gettimeofday () and t0 = Metrics.monotonic_ns () in
+  Result.to_option
+    (hit metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ~wall0 ~t0 cache query ~limit)
+
+let serve metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ?cache query ~limit =
+  let wall0 = Unix.gettimeofday () and t0 = Metrics.monotonic_ns () in
+  let hit c = hit metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ~wall0 ~t0 c query ~limit in
+  match Option.map hit cache with
+  | Some (Ok resp) -> resp
+  | looked ->
+    let limit = clamp limit in
+    let resp = guarded metrics (fun () -> serve_miss metrics ~paranoid snap cache query ~limit) in
+    let outcome = match looked with Some (Error why) -> `Miss why | _ -> `Uncached in
+    account metrics ~paranoid ~doc_rev ~inc ~pub_time ~snap ~wall0 ~t0 outcome resp

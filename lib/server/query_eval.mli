@@ -45,6 +45,25 @@ val max_cached_rows : int
 val cache_size : cache -> int * int
 (** Entries and rows held. *)
 
+val probe :
+  Metrics.t ->
+  paranoid:bool ->
+  doc_rev:int ->
+  inc:Repro_encoding.Axis_inc.t ->
+  pub_time:float ->
+  snap:Repro_encoding.Axis_inc.snap ->
+  cache ->
+  query ->
+  limit:int ->
+  Protocol.resp option
+(** The cache half of {!serve}: [Some] reply when an entry of [cache]
+    holds at [snap], accounted exactly as {!serve} accounts a hit (and,
+    under [paranoid], evaluated afresh as there); [None] on a miss, with
+    nothing recorded — the miss is left to {!serve}, which probes again
+    at whatever snapshot it is given. Cheap enough to run on a server's
+    event loop: a lookup under the cache mutex, no evaluation unless
+    [paranoid]. *)
+
 val serve :
   Metrics.t ->
   paranoid:bool ->
@@ -56,11 +75,12 @@ val serve :
   query ->
   limit:int ->
   Protocol.resp
-(** Answer from [cache] when an entry holds at [snap], else evaluate
-    (storing the answer unless the cache has one from a later
-    revision). Cross-check when [paranoid] — a hit is evaluated afresh
-    too, and a cached reply that differs is answered as
-    {!Protocol.err.Internal}. Accounts under the ["query/"] metric keys:
+(** Answer from [cache] when an entry holds at [snap] (as {!probe}),
+    else evaluate (storing the answer unless the cache has one from a
+    later revision). Cross-check when [paranoid] — a hit is evaluated
+    afresh too, and a cached reply that differs is answered as
+    {!Protocol.err.Internal}. Hits and misses go through one accounting
+    under the ["query/"] metric keys:
     [query/eval] (evaluations that served, count + latency),
     [query/cache_hit] (count + latency), [query/cache_miss] (requests
     a cache could not answer), split into [query/cache_miss_cold] (no

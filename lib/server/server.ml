@@ -491,7 +491,7 @@ type t = {
   q_cond : Condition.t;
   q_jobs : query_job Queue.t;
   mutable q_stop : bool;
-  mutable q_workers : Pool.Loops.t option;  (** [None] until the first wire query *)
+  mutable q_workers : Pool.Loops.t option;  (** [None] until the first cache miss *)
   (* ---- flusher state, under [f_mu] ---- *)
   f_mu : Mutex.t;
   mutable f_pending : int;  (** parked replies not yet released *)
@@ -925,9 +925,11 @@ let doc_of_req = function
   | P.Promote d ->
     Some d
 
-(* Wire queries never enter the document's write path: a query worker
-   evaluates them (see "query workers" below) against whatever
-   snapshot+index pair the writer last published, taking no lock. *)
+(* Wire queries never enter the document's write path: they are answered
+   against whatever snapshot+index pair the writer last published, read
+   once per answer, taking no lock — a cache hit on the loop
+   ([probe_wire_query]), a miss on a query worker (see "query workers"
+   below). *)
 let serve_wire_query t doc query limit =
   match find_doc t doc with
   | None -> P.Err (P.Unknown_doc, doc)
@@ -936,6 +938,15 @@ let serve_wire_query t doc query limit =
     Query_eval.serve t.metrics ~paranoid:t.cfg.paranoid
       ~doc_rev:(Tree.revision d.d_view.Core.Session.doc)
       ~inc:d.d_inc ~pub_time:pub.p_qtime ~snap:pub.p_qsnap ~cache:d.d_qcache query ~limit
+
+(* The cached answer to a wire query, if its document's cache holds one
+   at the published snapshot. *)
+let probe_wire_query t doc query limit =
+  Option.bind (find_doc t doc) (fun d ->
+      let pub = Atomic.get d.d_pub in
+      Query_eval.probe t.metrics ~paranoid:t.cfg.paranoid
+        ~doc_rev:(Tree.revision d.d_view.Core.Session.doc)
+        ~inc:d.d_inc ~pub_time:pub.p_qtime ~snap:pub.p_qsnap d.d_qcache query ~limit)
 
 (* Lag of one acknowledged position against the published durable offset:
    same epoch, the plain byte gap; a past epoch, the whole current log
@@ -1318,7 +1329,7 @@ let dispatch_inline t req =
     assert false
 
 (* Answer a request that needs no document lock and send the reply: the
-   inline reads on the loop, Xpath/Twig on a query worker. *)
+   inline reads on the loop, an Xpath/Twig cache miss on a query worker. *)
 let answer t conn slot req t0 =
   let resp =
     try dispatch_inline t req with
@@ -1330,11 +1341,12 @@ let answer t conn slot req t0 =
 
 (* ---- query workers --------------------------------------------------
 
-   Xpath and Twig are the only reads that take long enough to be worth a
-   hand-off; every other read stays inline on the loop. The workers are
+   An Xpath or Twig request that misses its document's answer cache is
+   the only read that takes long enough to be worth a hand-off; a hit
+   and every other read stay inline on the loop. The workers are
    [Pool.cores ()] domains started through [Pool.Loops] when the first
-   wire query arrives, so set-up and query-free traffic run on exactly
-   the loop domains they would without them.
+   miss arrives, so set-up and query-free traffic run on exactly the
+   loop domains they would without them.
 
    Reply order per connection: while a connection has a query in flight,
    its loop leaves it out of the select set and decodes none of its
@@ -1397,6 +1409,18 @@ let stop_workers t =
     Pool.Loops.join w;
     Metrics.gauge t.metrics ~key:"query/workers" ~value:0
 
+(* A cache hit is answered here on the loop, at the snapshot it was
+   probed against; a miss goes to a query worker, which reads the
+   published pair afresh. [true] when it went to a worker. *)
+let wire_query t ls conn slot req t0 doc query limit =
+  match probe_wire_query t doc query limit with
+  | Some resp ->
+    respond t conn slot ~doc (P.req_class req) t0 resp;
+    false
+  | None ->
+    submit_query t ls conn slot req t0;
+    true
+
 (* Handle one decoded frame; [true] when it went to a query worker. *)
 let handle_frame t ls conn payload =
   let t0 = Unix.gettimeofday () in
@@ -1411,9 +1435,10 @@ let handle_frame t ls conn payload =
     false
   | Ok req -> (
     match req with
-    | P.Xpath _ | P.Twig _ ->
-      submit_query t ls conn slot req t0;
-      true
+    | P.Xpath { xq_doc; xq_src; xq_limit } ->
+      wire_query t ls conn slot req t0 xq_doc (Query_eval.Q_xpath xq_src) xq_limit
+    | P.Twig { tq_doc; tq_src; tq_limit } ->
+      wire_query t ls conn slot req t0 tq_doc (Query_eval.Q_twig tq_src) tq_limit
     | P.Ping | P.Metrics | P.Open _ | P.Query _ | P.Stats _ | P.Ack _ | P.Docs ->
       answer t conn slot req t0;
       false

@@ -9,19 +9,22 @@
       over the {!Repro_io.Io.sock} [s_select] seam. Connections are dealt
       to loops round-robin at accept; a loop reads whatever its sockets
       have, cuts frames with an incremental {!Wire.Decoder}, and executes
-      every request inline except wire queries.
-    - Wire queries ({!Protocol.Xpath}, {!Protocol.Twig}) run on query
-      worker domains: [Pool.cores ()] of them, started on the first wire
-      query, so set-up and query-free traffic run on the loop domains
-      alone. While a connection has a query in flight its loop leaves it
+      every request inline except wire queries that miss the cache.
+    - A wire query ({!Protocol.Xpath}, {!Protocol.Twig}) is first probed
+      against its document's answer cache at the published snapshot
+      ({!Query_eval.probe}); a hit is answered inline on the loop. A
+      miss runs on a query worker domain: [Pool.cores ()] of them,
+      started on the first miss, so set-up and query-free traffic run on
+      the loop domains alone. While a connection has a query in flight its loop leaves it
       out of the poll set and decodes none of its buffered frames; the
       worker sends the reply and hands the connection back, and the loop
       drains the frames already buffered before polling it again. Replies
       on one connection leave in request order: each decoded frame takes
       a reply slot, and a reply ready before an earlier slot's (a Ping
       behind a parked ack, a query behind a deferred mutation) is held
-      until that one has gone. ["query/wait"] times each query's wait for
-      a worker and ["query/workers"] gauges the worker count.
+      until that one has gone. ["query/wait"] times each miss's wait for
+      a worker (a hit waits for none: ["query/cache_hit"] times it on the
+      loop) and ["query/workers"] gauges the worker count.
     - Each document carries a {e combining lock}: a loop takes it with
       [try_lock] and, on contention, defers the job closure to the
       current holder instead of blocking — an event loop never sleeps on

@@ -56,12 +56,16 @@ let rstr16 c =
 
 (* ---- saving ------------------------------------------------------ *)
 
+(* Labels are read straight from the scheme ([label_encoded_direct]): one
+   pass over the whole document would otherwise fill the session's label
+   memos, only for the next mutation to drop them. The buffer starts at
+   a typical node's size times the node count. *)
 let save session =
   let doc = session.Core.Session.doc in
-  let buf = Buffer.create 4096 in
+  let nodes = Tree.preorder_array doc in
+  let buf = Buffer.create (64 + (32 * Array.length nodes)) in
   Buffer.add_string buf magic;
   wstr16 buf session.Core.Session.scheme_name;
-  let nodes = Tree.preorder_array doc in
   (* node id -> document position, for parent references *)
   let position = Hashtbl.create (Array.length nodes) in
   Array.iteri (fun i (n : Tree.node) -> Hashtbl.replace position n.id i) nodes;
@@ -80,7 +84,7 @@ let save session =
         w8 buf 1;
         w32 buf (String.length v);
         Buffer.add_string buf v);
-      let bytes, bits = session.Core.Session.label_encoded n in
+      let bytes, bits = session.Core.Session.label_encoded_direct n in
       w16 buf bits;
       wstr16 buf bytes)
     nodes;

@@ -415,6 +415,8 @@ let failover_rejects_unrunnable () =
       ("ship_every -7", fun () -> T.failover ~ship_every:(-7) ~seeds:1 ());
       ("checkpoint_every 0", fun () -> T.failover ~checkpoint_every:0 ~seeds:1 ());
       ("seeds 0", fun () -> T.failover ~seeds:0 ());
+      ("ops 0", fun () -> T.failover ~ops:0 ~seeds:1 ());
+      ("ops -5", fun () -> T.failover ~ops:(-5) ~seeds:1 ());
     ]
 
 let failover_detects_injected_bug () =

@@ -137,6 +137,56 @@ let varint_units () =
   check (Alcotest.list Alcotest.int) "list roundtrip" [ 0; 127; 128; 70000 ]
     (Varint.decode_all (Varint.encode_list [ 0; 127; 128; 70000 ]))
 
+(* Known answers: below 0x110000 (surrogates aside) a value's bytes are
+   its UTF-8 form, as the standard library writes it; above, the
+   four-byte formula. The schemes' bit-stream writer and reader agree
+   with both. *)
+let varint_known_answers () =
+  let utf8 v =
+    let b = Buffer.create 4 in
+    Buffer.add_utf_8_uchar b (Uchar.of_int v);
+    Buffer.contents b
+  in
+  let four v =
+    String.init 4 (fun i ->
+        Char.chr
+          (if i = 0 then 0xF0 lor (v lsr 18) else 0x80 lor ((v lsr (6 * (3 - i))) land 0x3F)))
+  in
+  let bitstream v =
+    let w = Bitpack.writer () in
+    Repro_schemes.Codec_util.write_varint w v;
+    let bytes = Bitpack.contents w in
+    (bytes, Repro_schemes.Codec_util.read_varint (Bitpack.reader bytes))
+  in
+  let sample ~lo ~hi ~stride =
+    List.sort_uniq compare
+      (hi :: List.concat_map (fun b -> [ b - 1; b; b + 1 ]) [ 0x80; 0x800; 0x10000 ]
+      @ List.init (((hi - lo) / stride) + 1) (fun i -> lo + (i * stride)))
+    |> List.filter (fun v -> v >= lo && v <= hi)
+  in
+  let agree want v =
+    let got = Varint.encode v in
+    if got <> want then Alcotest.failf "Varint.encode 0x%X" v;
+    if bitstream v <> (want, v) then Alcotest.failf "Codec_util varint 0x%X" v
+  in
+  List.iter
+    (fun v -> if v < 0xD800 || v > 0xDFFF then agree (utf8 v) v)
+    (sample ~lo:0 ~hi:0x10FFFF ~stride:61);
+  List.iter (fun v -> agree (four v) v) (sample ~lo:0x110000 ~hi:Varint.max_encodable ~stride:509)
+
+(* ------------------------------------------------------------------ *)
+(* Crc32                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let crc32_check_value () =
+  check Alcotest.int32 "the CRC-32 check value" 0xCBF43926l (Crc32.string "123456789");
+  check Alcotest.int32 "empty" 0l (Crc32.string "")
+
+let crc32_strings_concat =
+  QCheck.Test.make ~name:"Crc32.strings equals string of the concatenation" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 6) string)
+    (fun parts -> Crc32.strings parts = Crc32.string (String.concat "" parts))
+
 (* ------------------------------------------------------------------ *)
 (* Bignat                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -218,6 +268,8 @@ let suite =
     ("quat units", `Quick, quat_units);
     ("rle paper example", `Quick, rle_paper_example);
     ("varint units", `Quick, varint_units);
+    ("varint known answers", `Quick, varint_known_answers);
+    ("crc32 check value", `Quick, crc32_check_value);
     ("bignat big values", `Quick, bignat_big_values);
     ("primes units", `Quick, primes_units);
     qcheck bitstr_roundtrip;
@@ -230,6 +282,7 @@ let suite =
     qcheck rle_roundtrip;
     qcheck rle_never_longer;
     qcheck varint_roundtrip;
+    qcheck crc32_strings_concat;
     qcheck bignat_add_mul_oracle;
     qcheck bignat_divmod_property;
     qcheck bignat_string_roundtrip;

@@ -369,6 +369,8 @@ let torture_rejects_unrunnable () =
       ("fsync_every -8", fun () -> Repro_torture.Torture.run ~fsync_every:(-8) ~seeds:1 ());
       ("checkpoint_every 0", fun () -> Repro_torture.Torture.run ~checkpoint_every:0 ~seeds:1 ());
       ("seeds 0", fun () -> Repro_torture.Torture.run ~seeds:0 ());
+      ("ops 0", fun () -> Repro_torture.Torture.run ~ops:0 ~seeds:1 ());
+      ("ops -5", fun () -> Repro_torture.Torture.run ~ops:(-5) ~seeds:1 ());
     ]
 
 (* The harness's reason to exist: with the directory fsync after atomic

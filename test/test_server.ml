@@ -782,6 +782,119 @@ let parked_ack_keeps_order () =
                 ("xpath", function P.Query_r q -> q.P.qy_total = round | _ -> false) ]
           done))
 
+(* ---- cache hits on the loop ------------------------------------------
+
+   A wire query whose answer the document's cache holds at the published
+   snapshot is answered on the loop; only a miss waits for a worker, so
+   [query/wait] counts misses and [query/cache_hit] times hits. *)
+
+let count t key = match metric t key with Some m -> m.P.m_count | None -> 0
+
+let query_r what = function
+  | Ok (P.Query_r q) -> q
+  | Ok (P.Err (e, m)) -> Alcotest.failf "%s: %s %s" what (P.err_name e) m
+  | Ok _ -> Alcotest.failf "%s did not answer Query_r" what
+  | Error e -> Alcotest.failf "%s: transport error: %s" what e
+
+let repeated_query_hits_on_the_loop () =
+  with_server (fun t _root ->
+      with_client t (fun c ->
+          ignore (open_doc c ~doc:"hits" ~scheme:"QED" ~nodes:200);
+          let first = query_r "first ask" (Client.xpath c ~doc:"hits" ~limit:10 "//item") in
+          check Alcotest.bool "the answer is not empty" true (first.P.qy_total > 0);
+          check Alcotest.int "the first ask waited for a worker" 1 (count t "query/wait");
+          check Alcotest.int "and was no hit" 0 (count t "query/cache_hit");
+          for _ = 1 to 5 do
+            let again = query_r "repeat" (Client.xpath c ~doc:"hits" ~limit:10 "//item") in
+            check Alcotest.bool "the same reply" true (again = first)
+          done;
+          check Alcotest.int "every repeat hit" 5 (count t "query/cache_hit");
+          check Alcotest.int "no hit waited for a worker" 1 (count t "query/wait");
+          check Alcotest.int "one evaluation in all" 1 (count t "query/eval")))
+
+(* Update, a cache-hitting Xpath and a Ping in one send: the hit is
+   answered on the loop at once, but its reply waits in its slot behind
+   the ack parked for group commit, and the Ping behind both. *)
+let hit_held_behind_parked_ack () =
+  let root = fresh_root () in
+  let t =
+    Server.start
+      { (Server.default_config ~root) with fsync_every = 0; commit_interval_us = 50_000 }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.stop t);
+      rm_rf root)
+    (fun () ->
+      let o = with_client t (fun c -> open_doc c ~doc:"held" ~scheme:"QED" ~nodes:40) in
+      let root_l = { Oplog.l_bytes = o.o_root.P.l_bytes; l_bits = o.o_root.P.l_bits } in
+      let warm =
+        with_client t (fun c -> query_r "warm-up" (Client.xpath c ~doc:"held" ~limit:5 "//item"))
+      in
+      let fd, reader = connect_raw t in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          for round = 1 to 5 do
+            let hits = count t "query/cache_hit" and waits = count t "query/wait" in
+            send_all fd
+              (String.concat ""
+                 (List.map
+                    (fun r -> Repro_server.Wire.frame (P.encode_req r))
+                    [ P.Update
+                        { u_doc = "held"; u_client = ""; u_seq = 0;
+                          u_ops = [ Oplog.Insert_last (root_l, Tree.elt "late" []) ] };
+                      P.Xpath { xq_doc = "held"; xq_src = "//item"; xq_limit = 5 };
+                      P.Ping ]));
+            List.iter
+              (fun (what, want) ->
+                match Repro_server.Wire.recv_frame reader with
+                | Repro_server.Wire.Frame payload -> (
+                  match P.decode_resp payload with
+                  | Ok resp when want resp -> ()
+                  | Ok _ -> Alcotest.failf "round %d: reply %s out of order" round what
+                  | Error e -> Alcotest.failf "round %d: undecodable reply: %s" round e)
+                | _ -> Alcotest.failf "round %d: no reply for %s" round what)
+              [ ("update", function P.Updated _ -> true | _ -> false);
+                ( "xpath",
+                  function
+                  | P.Query_r q -> q.P.qy_total = warm.P.qy_total && q.P.qy_rev > warm.P.qy_rev
+                  | _ -> false );
+                ("ping", function P.Pong _ -> true | _ -> false) ];
+            check Alcotest.int "the xpath hit" (hits + 1) (count t "query/cache_hit");
+            check Alcotest.int "no worker took it" waits (count t "query/wait")
+          done))
+
+(* Renaming a node of a name the cached answer is signed with moves its
+   stamp: the entry is stale, the query goes to a worker and answers at
+   the revision after the rename. *)
+let stale_entry_goes_to_a_worker () =
+  with_server (fun t _root ->
+      with_client t (fun c ->
+          ignore (open_doc c ~doc:"renamed" ~scheme:"QED" ~nodes:200);
+          let ask what = query_r what (Client.xpath c ~doc:"renamed" ~limit:10 "//item") in
+          let before = ask "first ask" in
+          check Alcotest.bool "a repeat hits at the same revision" true (ask "repeat" = before);
+          let item =
+            match ok (Client.labels c ~doc:"renamed" ~limit:10_000) with
+            | P.Labels_r entries -> (
+              match List.find_opt (fun (_, kind, name) -> kind = Tree.Element && name = "item") entries with
+              | Some (l, _, _) -> { Oplog.l_bytes = l.P.l_bytes; l_bits = l.P.l_bits }
+              | None -> Alcotest.fail "no item element")
+            | _ -> Alcotest.fail "labels did not answer Labels_r"
+          in
+          (match ok (Client.update c ~doc:"renamed" [ Oplog.Rename (item, "renamed") ]) with
+          | P.Updated { up_applied = 1; _ } -> ()
+          | _ -> Alcotest.fail "the rename did not apply");
+          let waits = count t "query/wait" and stale = count t "query/cache_miss_stale" in
+          let after = ask "after the rename" in
+          check Alcotest.int "the stale entry went to a worker" (waits + 1) (count t "query/wait");
+          check Alcotest.int "counted as stale" (stale + 1) (count t "query/cache_miss_stale");
+          check Alcotest.int "one item fewer" (before.P.qy_total - 1) after.P.qy_total;
+          check Alcotest.bool "answered at a later revision" true (after.P.qy_rev > before.P.qy_rev);
+          let fresh = query_r "an uncached query" (Client.xpath c ~doc:"renamed" ~limit:1 "//*") in
+          check Alcotest.int "which is the published one" fresh.P.qy_rev after.P.qy_rev))
+
 (* A client that pipelines a mutation and a read, then half-closes its
    send side, is owed both replies. The mutation is deferred to the
    document lock's holder — an explicit checkpoint held inside its
@@ -968,6 +1081,9 @@ let suite =
     Alcotest.test_case "pipelined replies keep request order" `Quick
       pipelined_replies_keep_order;
     Alcotest.test_case "a parked ack keeps its place" `Quick parked_ack_keeps_order;
+    Alcotest.test_case "a repeated query hits on the loop" `Quick repeated_query_hits_on_the_loop;
+    Alcotest.test_case "a hit waits behind a parked ack" `Quick hit_held_behind_parked_ack;
+    Alcotest.test_case "a stale entry goes to a worker" `Quick stale_entry_goes_to_a_worker;
     Alcotest.test_case "a half-close keeps the replies owed" `Quick half_close_keeps_owed_replies;
     Alcotest.test_case "stop with a query in flight" `Quick
       (shutdown_with_query_in_flight ~abort:false);

@@ -217,11 +217,56 @@ let roundtrip_every_registered_scheme () =
         (Tree.preorder reloaded.Core.Session.doc))
     Repro_schemes.Registry.all
 
+(* The stored bytes of one fixed 200-node document under every registered
+   scheme, pinned by digest: the format (node records, label bytes,
+   checksum) cannot drift unnoticed, however [save] gathers them. *)
+let save_bytes_pinned () =
+  let pins =
+    [
+      ("XPath Accelerator", "91a517783f44dff7444c8178a8852442");
+      ("XRel", "406795951d9cc27c9361384cedd9d732");
+      ("Sector", "5ee0936270423804a3770bc67abccdac");
+      ("QRS", "89dbe6e93d542d1530147fba28a62654");
+      ("DeweyID", "da2a33b5359e28d6514533f648e377c5");
+      ("ORDPATH", "a564ce6603bc4ec1e20c1d0975ac6d2e");
+      ("DLN", "ac94b15db7cb2c00555198a00bc3d008");
+      ("LSDX", "40f4d64b8dc8208291c4912fb418c772");
+      ("ImprovedBinary", "cd515d22f2a76269943d7b7118ef6d0d");
+      ("QED", "36a29666e1750ddb02d51eddaff05d55");
+      ("CDQS", "4bc79b002c19b21b9f4ad104c698cbd9");
+      ("Vector", "c274b30ad3a03751d475a1eba47e889d");
+      ("Pre/Post", "7082477f155c1e0e6ace34f8a26c552c");
+      ("Interval+gaps", "e8f1735974557f759016a094d537b732");
+      ("CDBS", "346dd43c5514a5f9464e5efdb2146970");
+      ("Com-D", "c2022a428f1fef561c764562c84d42e4");
+      ("Prime", "7d0c7fdcbbe9d409c6f40643b0ad955a");
+      ("DDE", "e944c531ed99cbadbce115932e375026");
+      ("V-Prefix", "89cd1a4ccac892639799719ba233ed8f");
+      ("QED-Containment", "7c8b3d9e47e7973b7154a72d0fae5617");
+      ("Dietz-OM", "6d28bc0621a833ecffca4db9c67d3c63");
+    ]
+  in
+  check Alcotest.(list string) "every registered scheme pinned"
+    (List.map Core.Scheme.name Repro_schemes.Registry.all)
+    (List.map fst pins);
+  List.iter
+    (fun pack ->
+      let doc =
+        Repro_workload.Docgen.generate ~seed:11
+          { Repro_workload.Docgen.default_shape with target_nodes = 200 }
+      in
+      check Alcotest.int "the document's size" 200 (Tree.size doc);
+      let name = Core.Scheme.name pack in
+      check Alcotest.string (name ^ " store bytes") (List.assoc name pins)
+        (Digest.to_hex (Digest.string (Repro_storage.Store.save (Core.Session.make pack doc)))))
+    Repro_schemes.Registry.all
+
 let suite =
   suite
   @ [
       ("corruption messages name the failure", `Quick, corruption_messages);
       ("round trip over every registered scheme", `Quick, roundtrip_every_registered_scheme);
+      ("store bytes pinned for every registered scheme", `Quick, save_bytes_pinned);
       qcheck loader_never_crashes;
       ("a huge node count fails cleanly", `Quick, huge_node_count_fails_cleanly);
       qcheck truncations_fail_cleanly;
