@@ -16,10 +16,9 @@ loc:
 	  | xargs -0 cat | wc -l
 
 # A fast end-to-end proof that the parallel evaluation runtime works and
-# stays byte-identical to the sequential path: the Figure 7 section on two
-# domains, diffed against the sequential CLI output.
+# stays byte-identical to the sequential path: the Figure 7 matrix on two
+# domains, diffed against the sequential output.
 bench-smoke: build
-	dune exec bench/main.exe -- matrix -j 2 > /dev/null
 	dune exec bin/xmlrepro.exe -- matrix > _build/matrix-seq.out
 	dune exec bin/xmlrepro.exe -- matrix --jobs 2 > _build/matrix-par.out
 	diff _build/matrix-seq.out _build/matrix-par.out
@@ -27,12 +26,9 @@ bench-smoke: build
 # The measurement hot path benchmark: times the incremental-statistics
 # kernels and runs the paranoid cross-check over the whole registry.
 # Exits non-zero if the order check fails or any tracked statistic
-# diverges from its recomputation. It runs from _build/bench-hotpath, so
-# the BENCH_hotpath.json it writes lands there and the committed one
-# stays as it is: make check leaves tracked files unchanged.
+# diverges from its recomputation. It prints only; it writes no file.
 bench-hotpath: build
-	mkdir -p _build/bench-hotpath
-	cd _build/bench-hotpath && ../default/bench/main.exe hotpath
+	dune exec bench/main.exe -- hotpath
 
 # Crash-consistency torture: a small seeded workload, a power cut at every
 # syscall boundary, recovery verified on every surviving disk image. Exits

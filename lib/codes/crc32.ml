@@ -10,13 +10,23 @@ let table =
       done;
       !c)
 
-let update crc s =
+let update crc b ~pos ~len =
   let crc = ref crc in
-  for i = 0 to String.length s - 1 do
-    crc := table.((!crc lxor Char.code s.[i]) land 0xFF) lxor (!crc lsr 8)
+  for i = pos to pos + len - 1 do
+    crc := table.((!crc lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!crc lsr 8)
   done;
   !crc
 
-let strings parts = Int32.of_int (0xFFFFFFFF lxor List.fold_left update 0xFFFFFFFF parts)
+let finish crc = Int32.of_int (0xFFFFFFFF lxor crc)
+
+let bytes b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.bytes";
+  finish (update 0xFFFFFFFF b ~pos ~len)
+
+let strings parts =
+  finish
+    (List.fold_left
+       (fun crc s -> update crc (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s))
+       0xFFFFFFFF parts)
 
 let string s = strings [ s ]

@@ -6,3 +6,7 @@ val string : string -> int32
 
 val strings : string list -> int32
 (** Checksum of the concatenation, without concatenating. *)
+
+val bytes : Bytes.t -> pos:int -> len:int -> int32
+(** Checksum of the [len] bytes of [b] from [pos], without copying them
+    out. Raises [Invalid_argument] on a range outside [b]. *)

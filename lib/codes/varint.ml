@@ -28,6 +28,12 @@ let encode v =
   done;
   Bytes.unsafe_to_string b
 
+let add buf v =
+  let len = byte_length v in
+  for i = 0 to len - 1 do
+    Buffer.add_char buf (Char.chr (nth_byte v ~len i))
+  done
+
 let length_of_lead b0 =
   if b0 < 0x80 then 1
   else if b0 land 0xE0 = 0xC0 then 2

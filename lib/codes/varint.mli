@@ -23,6 +23,10 @@ val bits : int -> int
 val encode : int -> string
 (** UTF-8 byte sequence for the value. Raises like {!byte_length}. *)
 
+val add : Buffer.t -> int -> unit
+(** [add buf v] appends {!encode}[ v] to [buf] without allocating the
+    string. Raises like {!byte_length}, before writing anything. *)
+
 val decode : string -> int -> int * int
 (** [decode s pos] reads one value at byte offset [pos] and returns
     [(value, next_pos)]. Raises [Invalid_argument] on malformed input. *)

@@ -29,7 +29,6 @@ type case = {
   c_boundaries : int;
   c_replica_boundaries : int;
   c_images : int;
-  c_recoveries : int;
   c_violations : int;
 }
 
@@ -40,7 +39,6 @@ type report = {
   t_boundaries : int;
   t_replica_boundaries : int;
   t_images : int;
-  t_recoveries : int;
   t_violations : violation list;
 }
 
@@ -342,7 +340,6 @@ let run_case ~replicated ~interval ~pack ~scheme ~seed ~ops ~checkpoint_every =
       c_boundaries = Sim.syscalls sim + 1;
       c_replica_boundaries = 0;
       c_images = 0;
-      c_recoveries = 0;
       c_violations = 0;
     }
   in
@@ -353,7 +350,7 @@ let run_case ~replicated ~interval ~pack ~scheme ~seed ~ops ~checkpoint_every =
         sweep_images sim ~base ~ready:create_done ~written:!written ~synced:!synced ~expected
           ~fail:(fail Primary_crash)
       in
-      { case with c_images = images; c_recoveries = images }
+      { case with c_images = images }
     | Some r ->
       (match r.follower with
       | Some f when flat (Ship.session f) = expected.(!n_recorded) -> ()
@@ -372,7 +369,6 @@ let run_case ~replicated ~interval ~pack ~scheme ~seed ~ops ~checkpoint_every =
         c_promotions = promotions;
         c_replica_boundaries = Sim.syscalls r.r_sim + 1;
         c_images = images;
-        c_recoveries = images;
       }
   in
   let violations = List.rev !violations in
@@ -416,7 +412,6 @@ let sweep_all ~fn ~replicated ~interval:(interval_name, interval) ~ops ~checkpoi
     t_boundaries = sum (fun c -> c.c_boundaries);
     t_replica_boundaries = sum (fun c -> c.c_replica_boundaries);
     t_images = sum (fun c -> c.c_images);
-    t_recoveries = sum (fun c -> c.c_recoveries);
     t_violations = List.rev !violations;
   }
 

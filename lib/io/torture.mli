@@ -82,8 +82,7 @@ type case = {
   c_promotions : int;  (** distinct promoted-replica states checked *)
   c_boundaries : int;  (** primary syscall boundaries crashed at *)
   c_replica_boundaries : int;  (** replica syscall boundaries crashed at *)
-  c_images : int;  (** deduplicated crash images examined *)
-  c_recoveries : int;  (** recoveries attempted and verified *)
+  c_images : int;  (** deduplicated crash images, each recovered and verified *)
   c_violations : int;
 }
 
@@ -94,7 +93,6 @@ type report = {
   t_boundaries : int;
   t_replica_boundaries : int;
   t_images : int;
-  t_recoveries : int;
   t_violations : violation list;
 }
 

@@ -14,7 +14,7 @@ type op =
 
 (* ---- payload encoding -------------------------------------------- *)
 
-let add_varint buf v = Buffer.add_string buf (Repro_codes.Varint.encode v)
+let add_varint = Repro_codes.Varint.add
 
 let add_str buf s =
   add_varint buf (String.length s);

@@ -54,6 +54,13 @@ type op =
 val encode_record : op -> string
 (** The full frame: varint length, payload, CRC-32. *)
 
+val add_str : Buffer.t -> string -> unit
+(** A varint byte count, then the bytes: how every string field of a
+    record (and of a {!Repro_server.Protocol} frame) is written. *)
+
+val add_label : Buffer.t -> label -> unit
+(** A varint bit count, then the label bytes as by {!add_str}. *)
+
 type read_result =
   | Record of op * int  (** decoded record and the offset just past its frame *)
   | End_of_log  (** [pos] sits exactly at the end of the data *)

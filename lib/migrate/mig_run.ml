@@ -217,7 +217,7 @@ let render ppf cfg rows =
     "total: %d scheme(s), %d oracle disagreement(s), %d survival mismatch(es), %d error(s)@,"
     (List.length rows) dis (total_mismatches rows) errs
 
-(* ---- JSON (for BENCH_migrate.json) ----------------------------------- *)
+(* ---- JSON (for xmlrepro migrate --json) ------------------------------ *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in

@@ -564,9 +564,9 @@ let render report =
   Printf.bprintf buf "RESULT ops=%d errors=%d\n" report.r_ops report.r_errors;
   Buffer.contents buf
 
-let to_json ?(name = "server") report =
+let to_json report =
   let buf = Buffer.create 512 in
-  Printf.bprintf buf "{\n  \"benchmark\": %S,\n" name;
+  Printf.bprintf buf "{\n  \"benchmark\": \"server\",\n";
   Printf.bprintf buf "  \"clients\": %d,\n" report.r_clients;
   Printf.bprintf buf "  \"ops\": %d,\n" report.r_ops;
   Printf.bprintf buf "  \"errors\": %d,\n" report.r_errors;

@@ -109,5 +109,5 @@ val render : report -> string
 (** Human-readable table ending in a machine-greppable
     ["RESULT ops=N errors=M"] line. *)
 
-val to_json : ?name:string -> report -> string
-(** The [BENCH_server.json] payload. *)
+val to_json : report -> string
+(** The report as JSON, as [xmlrepro loadgen --json] writes it. *)

@@ -186,15 +186,9 @@ let req_class = function
    the varint caps out at 2^21-1, which a busy session's statistics blow
    through. *)
 
-let add_varint buf v = Buffer.add_string buf (Repro_codes.Varint.encode v)
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let add_label buf { l_bytes; l_bits } =
-  add_varint buf l_bits;
-  add_str buf l_bytes
+let add_varint = Repro_codes.Varint.add
+let add_str = Repro_journal.Oplog.add_str
+let add_label = Repro_journal.Oplog.add_label
 
 let add_u64 buf v =
   for i = 0 to 7 do

@@ -88,10 +88,12 @@ let save session =
       w16 buf bits;
       wstr16 buf bytes)
     nodes;
-  let body = Buffer.contents buf in
-  let tail = Buffer.create 4 in
-  w32 tail (Int32.to_int (Repro_codes.Crc32.string body) land 0xFFFFFFFF);
-  body ^ Buffer.contents tail
+  (* the checksum goes in a reserved slot of the one copy out of [buf] *)
+  let body_len = Buffer.length buf in
+  w32 buf 0;
+  let out = Buffer.to_bytes buf in
+  Bytes.set_int32_le out body_len (Repro_codes.Crc32.bytes out ~pos:0 ~len:body_len);
+  Bytes.unsafe_to_string out
 
 let save_file ?(io = Repro_io.Io.real) session path =
   let f = io.Repro_io.Io.open_file path Repro_io.Io.Trunc in

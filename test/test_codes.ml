@@ -135,7 +135,26 @@ let varint_units () =
   | exception Varint.Overflow _ -> ()
   | _ -> Alcotest.fail "expected Overflow past 2^21 - 1");
   check (Alcotest.list Alcotest.int) "list roundtrip" [ 0; 127; 128; 70000 ]
-    (Varint.decode_all (Varint.encode_list [ 0; 127; 128; 70000 ]))
+    (Varint.decode_all (Varint.encode_list [ 0; 127; 128; 70000 ]));
+  (* [add] appends exactly [encode]'s bytes at every length boundary, and
+     refuses what [encode] refuses with the same exception, writing
+     nothing *)
+  let outcome f v = match f v with s -> Ok s | exception e -> Error (Printexc.to_string e) in
+  let add v =
+    let b = Buffer.create 4 in
+    match Varint.add b v with
+    | () -> Buffer.contents b
+    | exception e ->
+      if Buffer.length b > 0 then Alcotest.failf "Varint.add %d wrote before raising" v;
+      raise e
+  in
+  List.iter
+    (fun v ->
+      if outcome add v <> outcome Varint.encode v then Alcotest.failf "Varint.add %d" v)
+    [
+      0; 0x7F; 0x80; 0x7FF; 0x800; 0xFFFF; 0x10000; Varint.max_encodable;
+      Varint.max_encodable + 1; max_int; -1; min_int;
+    ]
 
 (* Known answers: below 0x110000 (surrogates aside) a value's bytes are
    its UTF-8 form, as the standard library writes it; above, the
@@ -180,7 +199,9 @@ let varint_known_answers () =
 
 let crc32_check_value () =
   check Alcotest.int32 "the CRC-32 check value" 0xCBF43926l (Crc32.string "123456789");
-  check Alcotest.int32 "empty" 0l (Crc32.string "")
+  check Alcotest.int32 "empty" 0l (Crc32.string "");
+  check Alcotest.int32 "a range of bytes" 0xCBF43926l
+    (Crc32.bytes (Bytes.of_string "<123456789>") ~pos:1 ~len:9)
 
 let crc32_strings_concat =
   QCheck.Test.make ~name:"Crc32.strings equals string of the concatenation" ~count:300

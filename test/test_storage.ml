@@ -261,9 +261,20 @@ let save_bytes_pinned () =
         (Digest.to_hex (Digest.string (Repro_storage.Store.save (Core.Session.make pack doc)))))
     Repro_schemes.Registry.all
 
+(* The snapshot is its body followed by the little-endian CRC-32 of that
+   body, computed in place over the one copy [save] makes. *)
+let save_is_body_then_crc () =
+  let session = updated_session (module Repro_schemes.Qed : Core.Scheme.S) 13 in
+  let data = Repro_storage.Store.save session in
+  let body = String.sub data 0 (String.length data - 4) in
+  let tail = Bytes.create 4 in
+  Bytes.set_int32_le tail 0 (Repro_codes.Crc32.string body);
+  check Alcotest.string "body ^ crc32(body)" (body ^ Bytes.to_string tail) data
+
 let suite =
   suite
   @ [
+      ("save is the body then its CRC-32", `Quick, save_is_body_then_crc);
       ("corruption messages name the failure", `Quick, corruption_messages);
       ("round trip over every registered scheme", `Quick, roundtrip_every_registered_scheme);
       ("store bytes pinned for every registered scheme", `Quick, save_bytes_pinned);
