@@ -646,6 +646,38 @@ let host_arg =
 
 let port_arg ~default ~doc = Arg.(value & opt int default & info [ "port" ] ~docv:"PORT" ~doc)
 
+(* The server tuning flags that serve, loadgen (for --self-serve) and
+   cluster (for each server) share: one definition each, one default. *)
+let fsync_every_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "fsync-every" ] ~docv:"N"
+        ~doc:
+          "Journal-level fsync cadence. 0 (the default) leaves durability to the \
+           cross-document group-commit flusher; 1 fsyncs every append before its \
+           reply; N>=2 batches inside each journal.")
+
+let commit_interval_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "commit-interval" ] ~docv:"MICROS"
+        ~doc:
+          "Upper bound, in microseconds, on how long a confirmed update may wait \
+           for its group fsync. 0 self-clocks: each commit cycle starts as soon \
+           as the previous one ends.")
+
+let commit_max_arg =
+  Arg.(
+    value & opt int 64
+    & info [ "commit-max" ] ~docv:"N"
+        ~doc:"Start a commit cycle early once $(docv) replies are parked.")
+
+let loop_domains_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "loop-domains" ] ~docv:"N"
+        ~doc:"Event-loop domains multiplexing the connections (0 sizes from the hardware).")
+
 let serve_cmd =
   let run host port root max_conns fsync_every checkpoint_every commit_interval
       commit_max loop_domains dedup_window shed_parked port_file
@@ -702,15 +734,6 @@ let serve_cmd =
       value & opt int 64
       & info [ "max-conns" ] ~docv:"N" ~doc:"Accept at most $(docv) concurrent connections.")
   in
-  let fsync_every =
-    Arg.(
-      value & opt int 0
-      & info [ "fsync-every" ] ~docv:"N"
-          ~doc:
-            "Journal-level fsync cadence. 0 (the default) leaves durability to the \
-             cross-document group-commit flusher; 1 fsyncs every append before its \
-             reply; N>=2 batches inside each journal.")
-  in
   let checkpoint_every =
     Arg.(
       value & opt int 4096
@@ -718,29 +741,6 @@ let serve_cmd =
           ~doc:
             "Checkpoint a document every $(docv) records, off the request path \
              (0 disables).")
-  in
-  let commit_interval =
-    Arg.(
-      value & opt int 0
-      & info [ "commit-interval" ] ~docv:"MICROS"
-          ~doc:
-            "Upper bound, in microseconds, on how long a confirmed update may wait \
-             for its group fsync. 0 self-clocks: each commit cycle starts as soon \
-             as the previous one ends.")
-  in
-  let commit_max =
-    Arg.(
-      value & opt int 64
-      & info [ "commit-max" ] ~docv:"N"
-          ~doc:"Start a commit cycle early once $(docv) replies are parked.")
-  in
-  let loop_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "loop-domains" ] ~docv:"N"
-          ~doc:
-            "Event-loop domains multiplexing the connections (0 sizes from the \
-             hardware).")
   in
   let dedup_window =
     Arg.(
@@ -806,8 +806,8 @@ let serve_cmd =
     Term.(
       const run $ host_arg
       $ port_arg ~default:0 ~doc:"Port to bind (0 picks an ephemeral one)."
-      $ root $ max_conns $ fsync_every $ checkpoint_every $ commit_interval
-      $ commit_max $ loop_domains $ dedup_window $ shed_parked
+      $ root $ max_conns $ fsync_every_arg $ checkpoint_every $ commit_interval_arg
+      $ commit_max_arg $ loop_domains_arg $ dedup_window $ shed_parked
       $ port_file $ replica_of $ replica_name $ serve_paranoid)
 
 let loadgen_cmd =
@@ -963,30 +963,6 @@ let loadgen_cmd =
       value & opt string "xmlrepro-server"
       & info [ "root" ] ~docv:"DIR" ~doc:"Journal directory for --self-serve.")
   in
-  let fsync_every =
-    Arg.(
-      value & opt int 0
-      & info [ "fsync-every" ] ~docv:"N"
-          ~doc:"Journal fsync cadence for --self-serve (0 = flusher-owned durability).")
-  in
-  let commit_interval =
-    Arg.(
-      value & opt int 0
-      & info [ "commit-interval" ] ~docv:"MICROS"
-          ~doc:"Group-commit interval bound for --self-serve, in microseconds.")
-  in
-  let commit_max =
-    Arg.(
-      value & opt int 64
-      & info [ "commit-max" ] ~docv:"N"
-          ~doc:"Parked replies that start a commit cycle early, for --self-serve.")
-  in
-  let loop_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "loop-domains" ] ~docv:"N"
-          ~doc:"Event-loop domains for --self-serve (0 sizes from the hardware).")
-  in
   let cluster =
     Arg.(
       value
@@ -1067,7 +1043,8 @@ let loadgen_cmd =
       const run $ host_arg
       $ port_arg ~default:0 ~doc:"Port of the server to load."
       $ clients $ ops $ seed_arg $ schemes $ nodes $ docs $ doc_prefix $ json
-      $ self_serve $ root $ fsync_every $ commit_interval $ commit_max $ loop_domains
+      $ self_serve $ root $ fsync_every_arg $ commit_interval_arg $ commit_max_arg
+      $ loop_domains_arg
       $ cluster $ retries $ backoff $ net_drop $ net_delay $ query_pct
       $ migrate_every $ loadgen_paranoid)
 
@@ -1326,24 +1303,6 @@ let cluster_cmd =
       & info [ "root" ] ~docv:"DIR"
           ~doc:"Directory for per-server journal roots, port files and the topology.")
   in
-  let fsync_every =
-    Arg.(
-      value & opt int 0
-      & info [ "fsync-every" ] ~docv:"N"
-          ~doc:"Journal fsync cadence per server (0 = flusher-owned durability).")
-  in
-  let commit_interval =
-    Arg.(
-      value & opt int 0
-      & info [ "commit-interval" ] ~docv:"MICROS"
-          ~doc:"Group-commit interval bound per server, in microseconds.")
-  in
-  let commit_max =
-    Arg.(
-      value & opt int 64
-      & info [ "commit-max" ] ~docv:"N"
-          ~doc:"Parked replies that start a commit cycle early, per server.")
-  in
   let smoke =
     Arg.(
       value & flag
@@ -1366,7 +1325,7 @@ let cluster_cmd =
           automatic promotion when a primary dies. Writes the topology file \
           routers and loadgen --cluster consume.")
     Term.(
-      const run $ shards $ replicas $ root $ fsync_every $ commit_interval $ commit_max
+      const run $ shards $ replicas $ root $ fsync_every_arg $ commit_interval_arg $ commit_max_arg
       $ smoke $ smoke_ops)
 
 (* ---- report ------------------------------------------------------ *)

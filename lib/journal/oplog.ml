@@ -99,53 +99,57 @@ let encode_record op =
 (* A decoding failure anywhere in a frame means the frame is torn or
    corrupt; [Bad] carries the reason up to [read_record], which never lets
    it escape as an exception. *)
-exception Bad of string
+module Reader = struct
+  exception Bad of string
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-type cursor = { data : string; limit : int; mutable pos : int }
+  type cursor = { data : string; limit : int; mutable pos : int }
 
-let rvarint c =
-  if c.pos >= c.limit then bad "truncated varint";
-  match Repro_codes.Varint.decode c.data c.pos with
-  | v, next ->
-    if next > c.limit then bad "truncated varint";
-    c.pos <- next;
-    v
-  | exception Invalid_argument m -> bad "%s" m
+  let rvarint c =
+    if c.pos >= c.limit then bad "truncated varint";
+    match Repro_codes.Varint.decode c.data c.pos with
+    | v, next ->
+      if next > c.limit then bad "truncated varint";
+      c.pos <- next;
+      v
+    | exception Invalid_argument m -> bad "%s" m
 
-let rbyte c =
-  if c.pos >= c.limit then bad "truncated payload";
-  let b = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  b
+  let rbyte c =
+    if c.pos >= c.limit then bad "truncated payload";
+    let b = Char.code c.data.[c.pos] in
+    c.pos <- c.pos + 1;
+    b
 
-let rstr c =
-  let n = rvarint c in
-  if c.pos + n > c.limit then bad "truncated string (%d bytes wanted)" n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
+  let rstr c =
+    let n = rvarint c in
+    if c.pos + n > c.limit then bad "truncated string (%d bytes wanted)" n;
+    let s = String.sub c.data c.pos n in
+    c.pos <- c.pos + n;
+    s
 
-let rlabel c =
-  let l_bits = rvarint c in
-  let l_bytes = rstr c in
-  { l_bytes; l_bits }
+  let rlabel c =
+    let l_bits = rvarint c in
+    let l_bytes = rstr c in
+    { l_bytes; l_bits }
+
+  let ru64 c =
+    if c.pos + 8 > c.limit then bad "truncated u64";
+    let v = ref 0 in
+    for i = 7 downto 0 do
+      v := (!v lsl 8) lor Char.code c.data.[c.pos + i]
+    done;
+    c.pos <- c.pos + 8;
+    !v
+end
+
+open Reader
 
 let ropt c =
   match rbyte c with
   | 0 -> None
   | 1 -> Some (rstr c)
   | f -> bad "bad option flag %d" f
-
-let ru64 c =
-  if c.pos + 8 > c.limit then bad "truncated u64";
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code c.data.[c.pos + i]
-  done;
-  c.pos <- c.pos + 8;
-  !v
 
 let rec rfrag c =
   let kind = match rbyte c with 0 -> Tree.Element | 1 -> Tree.Attribute | k -> bad "bad node kind %d" k in

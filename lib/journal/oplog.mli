@@ -61,6 +61,36 @@ val add_str : Buffer.t -> string -> unit
 val add_label : Buffer.t -> label -> unit
 (** A varint bit count, then the label bytes as by {!add_str}. *)
 
+val add_u64 : Buffer.t -> int -> unit
+(** Fixed 8-byte little-endian, for counters past the varint's 21-bit
+    ceiling (sequence numbers, offsets, byte totals). *)
+
+(** The cursor every record field is decoded through, shared with
+    {!Repro_server.Protocol}'s payloads. A read past [limit] or a
+    malformed varint raises {!Bad} with the reason; each user turns it
+    into an error value at one catch site, so corrupt bytes never escape
+    as an exception. *)
+module Reader : sig
+  exception Bad of string
+
+  val bad : ('a, unit, string, 'b) format4 -> 'a
+  (** [bad fmt ...] raises {!Bad} with the formatted reason. *)
+
+  type cursor = { data : string; limit : int; mutable pos : int }
+
+  val rvarint : cursor -> int
+  val rbyte : cursor -> int
+
+  val rstr : cursor -> string
+  (** As written by {!add_str}. *)
+
+  val rlabel : cursor -> label
+  (** As written by {!add_label}. *)
+
+  val ru64 : cursor -> int
+  (** As written by {!add_u64}. *)
+end
+
 type read_result =
   | Record of op * int  (** decoded record and the offset just past its frame *)
   | End_of_log  (** [pos] sits exactly at the end of the data *)

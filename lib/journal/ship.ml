@@ -51,7 +51,13 @@ let apply ?progress f ~epoch ~offset data =
   (try
      List.iter
        (fun op ->
-         ignore (Journal.Resolver.apply f.f_resolver op);
+         (match op with
+         | Oplog.Mark _ ->
+           (* no tree effect for the durable view to journal: append the
+              dedup watermark directly, so a promotion can rebuild the
+              exactly-once window from this journal *)
+           Journal.append (Durable_session.journal f.f_durable) op
+         | _ -> ignore (Journal.Resolver.apply f.f_resolver op));
          incr applied;
          f.f_pos <- { f.f_pos with Journal.p_offset = f.f_pos.Journal.p_offset + String.length (Oplog.encode_record op) };
          f.f_shipped <- f.f_shipped + 1;

@@ -44,9 +44,12 @@ val apply : ?progress:(int -> unit) -> t -> epoch:int -> offset:int -> string ->
 (** [apply f ~epoch ~offset records] applies one shipped batch: the raw
     record bytes starting at upstream position [(epoch, offset)], which
     must equal {!position} exactly. Each record is journaled locally
-    (through the durable view) before it is applied; the local journal is
-    flushed after the batch, so an acknowledgment sent after [apply]
-    returns speaks for bytes that are durable on the replica. Returns the
+    (through the durable view; a dedup {!Oplog.Mark}, which has no tree
+    effect, directly, so a promoted follower can rebuild the server's
+    exactly-once window from its own journal) before it is applied; the
+    local journal is flushed after the batch, so an acknowledgment sent
+    after [apply] returns speaks for bytes that are durable on the
+    replica. Returns the
     number of records applied; [?progress] is called after each one (the
     failover torture harness uses it to place per-op durability marks).
     Raises {!Out_of_sync} on any mismatch — the follower must then be

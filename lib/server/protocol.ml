@@ -190,10 +190,7 @@ let add_varint = Repro_codes.Varint.add
 let add_str = Repro_journal.Oplog.add_str
 let add_label = Repro_journal.Oplog.add_label
 
-let add_u64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done
+let add_u64 = Repro_journal.Oplog.add_u64
 
 let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
 
@@ -451,52 +448,12 @@ let encode_resp resp =
 
 (* ---- decoding ------------------------------------------------------
 
-   Mirrors {!Oplog}'s cursor: an internal [Bad] exception carries the
+   {!Oplog.Reader}'s cursor: its [Bad] exception carries the
    reason to the single catch site, so a truncated or bit-flipped payload
    always comes back as [Error reason] — never as an exception escaping
    into a connection handler. *)
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-type cursor = { data : string; limit : int; mutable pos : int }
-
-let rvarint c =
-  if c.pos >= c.limit then bad "truncated varint";
-  match Repro_codes.Varint.decode c.data c.pos with
-  | v, next ->
-    if next > c.limit then bad "truncated varint";
-    c.pos <- next;
-    v
-  | exception Invalid_argument m -> bad "%s" m
-
-let rbyte c =
-  if c.pos >= c.limit then bad "truncated payload";
-  let b = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  b
-
-let rstr c =
-  let n = rvarint c in
-  if c.pos + n > c.limit then bad "truncated string (%d bytes wanted)" n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let rlabel c =
-  let l_bits = rvarint c in
-  let l_bytes = rstr c in
-  { l_bytes; l_bits }
-
-let ru64 c =
-  if c.pos + 8 > c.limit then bad "truncated u64";
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code c.data.[c.pos + i]
-  done;
-  c.pos <- c.pos + 8;
-  !v
+open Repro_journal.Oplog.Reader
 
 let rbool c =
   match rbyte c with 0 -> false | 1 -> true | b -> bad "bad bool byte %d" b

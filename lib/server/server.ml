@@ -417,15 +417,6 @@ let exec_apply d ~epoch ~offset ~data =
     | n -> P.Updated { up_applied = n; up_fresh = []; up_relabelled = false; up_dedup = false }
     | exception Ship.Out_of_sync msg -> P.Err (P.Stale_pos, msg))
 
-let exec_promote d =
-  Atomic.set d.d_role Primary;
-  let pos =
-    match d.d_ship with
-    | Some f -> Ship.position f
-    | None -> Journal.position (journal_of d)
-  in
-  P.Promoted { pr_epoch = pos.Journal.p_epoch; pr_offset = pos.Journal.p_offset }
-
 (* ---- the server ---------------------------------------------------- *)
 
 type loop_state = {
@@ -767,6 +758,22 @@ let dedup_rebuild cfg d ~base =
             dedup_store cfg d mk_client e
           | _ -> ())
         ops
+
+(* A follower's window starts empty and shipping fills none, but its
+   journal holds every Mark it was shipped: a Follower -> Primary
+   transition rebuilds the window from it, so a client's resend to the
+   new primary is answered, not applied twice. Promoting a primary again
+   keeps its live window. Runs under [d_mu]. *)
+let exec_promote cfg d =
+  if Atomic.get d.d_role = Follower then
+    dedup_rebuild cfg d ~base:(Filename.concat cfg.root (d.d_name ^ ".journal"));
+  Atomic.set d.d_role Primary;
+  let pos =
+    match d.d_ship with
+    | Some f -> Ship.position f
+    | None -> Journal.position (journal_of d)
+  in
+  P.Promoted { pr_epoch = pos.Journal.p_epoch; pr_offset = pos.Journal.p_offset }
 
 (* After a checkpoint swallowed the log, rewrite every live watermark into
    the fresh epoch so a crash-and-recover still knows them. Caller holds
@@ -1282,7 +1289,7 @@ let dispatch_doc t conn slot d req t0 =
   | P.Replicate { rp_epoch; rp_snap; rp_offset; rp_limit; _ } ->
     direct "replicate" (fun () ->
         exec_replicate d ~epoch:rp_epoch ~snap:rp_snap ~offset:rp_offset ~limit:rp_limit)
-  | P.Promote _ -> direct "promote" (fun () -> exec_promote d)
+  | P.Promote _ -> direct "promote" (fun () -> exec_promote t.cfg d)
   | _ -> assert false
 
 let dispatch_inline t req =

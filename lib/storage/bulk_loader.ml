@@ -7,27 +7,23 @@ let load pack src =
   let stack = ref [] in
   let handle event =
     match (event, !session, !stack) with
-    | Parser_stream.Start_element (name, attrs), None, [] ->
+    | Parser.Start_element (name, attrs), None, [] ->
       let frag = Tree.elt name (List.map (fun (n, v) -> Tree.attr n v) attrs) in
       let doc = Tree.create frag in
       let s = Core.Session.make pack doc in
       session := Some s;
       stack := [ Tree.root doc ]
-    | Parser_stream.Start_element (name, attrs), Some s, parent :: _ ->
+    | Parser.Start_element (name, attrs), Some s, parent :: _ ->
       let frag = Tree.elt name (List.map (fun (n, v) -> Tree.attr n v) attrs) in
       let node = s.Core.Session.insert_last parent frag in
       stack := node :: !stack
-    | Parser_stream.Text t, Some s, node :: _ ->
-      let value =
-        match node.Tree.value with Some v -> v ^ " " ^ t | None -> t
-      in
-      Tree.set_value s.Core.Session.doc node (Some value)
-    | Parser_stream.End_element _, Some _, _ :: rest -> stack := rest
+    | Parser.Text t, Some s, node :: _ -> Tree.set_value s.Core.Session.doc node (Some t)
+    | Parser.End_element _, Some _, _ :: rest -> stack := rest
     | _ ->
-      (* unreachable: the stream parser enforces well-formedness *)
+      (* unreachable: the parser enforces well-formedness *)
       invalid_arg "Bulk_loader: event outside any open element"
   in
-  Parser_stream.iter handle src;
+  Parser.iter handle src;
   match !session with
   | Some s -> s
   | None -> invalid_arg "Bulk_loader: empty document"

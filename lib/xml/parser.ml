@@ -88,7 +88,7 @@ let parse_entity st =
     in
     (match codepoint with
     | Some cp when cp >= 0 && cp < 128 -> String.make 1 (Char.chr cp)
-    | Some cp when cp <= 0x1FFFFF -> Repro_codes.Varint.encode cp (* UTF-8 bytes *)
+    | Some cp when cp >= 128 && cp <= 0x1FFFFF -> Repro_codes.Varint.encode cp (* UTF-8 bytes *)
     | _ -> fail st (Printf.sprintf "unknown entity &%s;" body))
 
 let skip_until st marker what =
@@ -130,9 +130,8 @@ let parse_attributes st =
       expect st '=';
       skip_spaces st;
       let value = parse_attr_value st in
-      if List.exists (fun f -> f.Tree.f_name = name) acc then
-        fail st (Printf.sprintf "duplicate attribute %s" name);
-      go (Tree.attr name value :: acc)
+      if List.mem_assoc name acc then fail st (Printf.sprintf "duplicate attribute %s" name);
+      go ((name, value) :: acc)
     end
     else List.rev acc
   in
@@ -140,118 +139,141 @@ let parse_attributes st =
 
 let non_blank s = String.exists (fun c -> not (is_space c)) s
 
-let trim_value s = String.trim s
+type event =
+  | Start_element of string * (string * string) list
+  | Text of string
+  | End_element of string
 
-(* Parses the children (and text value) of an open element, up to but not
-   including its end tag. *)
-let rec parse_content st name =
-  let text = Buffer.create 16 in
-  let rec go children =
-    if eof st then fail st (Printf.sprintf "unterminated element <%s>" name)
-    else if looking_at st "</" then List.rev children
-    else if looking_at st "<!--" then begin
+(* Comments, processing instructions and blanks, in any order. *)
+let skip_misc st =
+  let rec go () =
+    skip_spaces st;
+    if looking_at st "<!--" then begin
       skip_string st "<!--";
       skip_until st "-->" "comment";
-      go children
-    end
-    else if looking_at st "<![CDATA[" then begin
-      skip_string st "<![CDATA[";
-      let start = st.pos in
-      let rec find () =
-        if eof st then fail st "unterminated CDATA section"
-        else if looking_at st "]]>" then begin
-          Buffer.add_string text (String.sub st.src start (st.pos - start));
-          skip_string st "]]>"
-        end
-        else begin
-          advance st;
-          find ()
-        end
-      in
-      find ();
-      go children
+      go ()
     end
     else if looking_at st "<?" then begin
       skip_string st "<?";
       skip_until st "?>" "processing instruction";
-      go children
-    end
-    else if peek st = '<' then go (parse_element st :: children)
-    else if peek st = '&' then begin
-      advance st;
-      Buffer.add_string text (parse_entity st);
-      go children
-    end
-    else begin
-      Buffer.add_char text (next st);
-      go children
-    end
-  in
-  let children = go [] in
-  let value =
-    let t = Buffer.contents text in
-    if non_blank t then Some (trim_value t) else None
-  in
-  (value, children)
-
-and parse_element st =
-  expect st '<';
-  let name = parse_name st in
-  let attrs = parse_attributes st in
-  skip_spaces st;
-  if looking_at st "/>" then begin
-    skip_string st "/>";
-    Tree.elt name attrs
-  end
-  else begin
-    expect st '>';
-    let value, children = parse_content st name in
-    skip_string st "</";
-    let close = parse_name st in
-    if close <> name then
-      fail st (Printf.sprintf "mismatched end tag: expected </%s>, found </%s>" name close);
-    skip_spaces st;
-    expect st '>';
-    Tree.elt ?value name (attrs @ children)
-  end
-
-let skip_prolog st =
-  let rec go () =
-    skip_spaces st;
-    if looking_at st "<?" then begin
-      skip_string st "<?";
-      skip_until st "?>" "processing instruction";
-      go ()
-    end
-    else if looking_at st "<!--" then begin
-      skip_string st "<!--";
-      skip_until st "-->" "comment";
-      go ()
-    end
-    else if looking_at st "<!DOCTYPE" then begin
-      (* Skip to the matching '>', tolerating an internal subset. *)
-      skip_string st "<!DOCTYPE";
-      let depth = ref 1 in
-      while !depth > 0 do
-        match next st with
-        | '<' -> incr depth
-        | '>' -> decr depth
-        | _ -> ()
-      done;
       go ()
     end
   in
   go ()
 
-let parse_frag s =
-  let st = { src = s; pos = 0; line = 1; col = 1 } in
+let rec skip_prolog st =
+  skip_misc st;
+  if looking_at st "<!DOCTYPE" then begin
+    (* Skip to the matching '>', tolerating an internal subset. *)
+    skip_string st "<!DOCTYPE";
+    let depth = ref 1 in
+    while !depth > 0 do
+      match next st with
+      | '<' -> incr depth
+      | '>' -> decr depth
+      | _ -> ()
+    done;
+    skip_prolog st
+  end
+
+(* Scans the element that starts at the cursor and folds its events
+   through [f], returning once it closes. The open elements live on an
+   explicit stack, each with the character data seen so far, so depth
+   costs heap, not OCaml stack. *)
+let fold_element st ~init ~f =
+  let acc = ref init in
+  let emit e = acc := f !acc e in
+  let stack = ref [] in
+  let start_tag () =
+    expect st '<';
+    let name = parse_name st in
+    let attrs = parse_attributes st in
+    skip_spaces st;
+    let empty = looking_at st "/>" in
+    if empty then skip_string st "/>" else expect st '>';
+    emit (Start_element (name, attrs));
+    if empty then emit (End_element name) else stack := (name, Buffer.create 16) :: !stack
+  in
+  start_tag ();
+  while !stack <> [] do
+    let name, text = List.hd !stack in
+    if eof st then fail st (Printf.sprintf "unterminated element <%s>" name)
+    else if looking_at st "</" then begin
+      skip_string st "</";
+      let close = parse_name st in
+      if close <> name then
+        fail st (Printf.sprintf "mismatched end tag: expected </%s>, found </%s>" name close);
+      skip_spaces st;
+      expect st '>';
+      let t = Buffer.contents text in
+      if non_blank t then emit (Text (String.trim t));
+      stack := List.tl !stack;
+      emit (End_element name)
+    end
+    else if looking_at st "<!--" then begin
+      skip_string st "<!--";
+      skip_until st "-->" "comment"
+    end
+    else if looking_at st "<![CDATA[" then begin
+      skip_string st "<![CDATA[";
+      let start = st.pos in
+      while not (looking_at st "]]>") do
+        if eof st then fail st "unterminated CDATA section";
+        advance st
+      done;
+      Buffer.add_string text (String.sub st.src start (st.pos - start));
+      skip_string st "]]>"
+    end
+    else if looking_at st "<?" then begin
+      skip_string st "<?";
+      skip_until st "?>" "processing instruction"
+    end
+    else if peek st = '<' then start_tag ()
+    else if peek st = '&' then begin
+      advance st;
+      Buffer.add_string text (parse_entity st)
+    end
+    else Buffer.add_char text (next st)
+  done;
+  !acc
+
+let fold src ~init ~f =
+  let st = { src; pos = 0; line = 1; col = 1 } in
   skip_prolog st;
   if eof st || peek st <> '<' then fail st "expected a root element";
-  let root = parse_element st in
-  skip_prolog st;
-  skip_spaces st;
+  let acc = fold_element st ~init ~f in
+  skip_misc st;
   if not (eof st) then fail st "trailing content after the root element";
-  root
+  acc
+
+let iter f src = fold src ~init:() ~f:(fun () e -> f e)
+
+let events src = List.rev (fold src ~init:[] ~f:(fun acc e -> e :: acc))
+
+let node_count src =
+  fold src ~init:0 ~f:(fun acc -> function
+    | Start_element (_, attrs) -> acc + 1 + List.length attrs
+    | Text _ | End_element _ -> acc)
+
+(* Builds fragments from events. Each open element is its name,
+   attributes, value and children so far (reversed); the bottom entry is
+   a sentinel that collects the finished root. *)
+let build stack event =
+  match (event, stack) with
+  | Start_element (name, attrs), _ -> (name, attrs, None, []) :: stack
+  | Text t, (name, attrs, _, kids) :: rest -> (name, attrs, Some t, kids) :: rest
+  | End_element _, (name, attrs, value, kids) :: (pn, pa, pv, pkids) :: rest ->
+    let attrs = List.map (fun (n, v) -> Tree.attr n v) attrs in
+    (pn, pa, pv, Tree.elt ?value name (attrs @ List.rev kids) :: pkids) :: rest
+  | _ -> invalid_arg "Parser.build: unbalanced events"
+
+let built = function
+  | [ (_, _, _, [ root ]) ] -> root
+  | _ -> invalid_arg "Parser.built: not one element"
+
+let sentinel = [ ("", [], None, []) ]
+
+let parse_frag s = built (fold s ~init:sentinel ~f:build)
 
 let parse_frag_at s pos =
   if pos < 0 || pos > String.length s then invalid_arg "Parser.parse_frag_at: bad offset";
@@ -262,7 +284,7 @@ let parse_frag_at s pos =
   done;
   skip_spaces st;
   if eof st || peek st <> '<' then fail st "expected an element";
-  let frag = parse_element st in
+  let frag = built (fold_element st ~init:sentinel ~f:build) in
   (frag, st.pos)
 
 let parse s = Tree.create (parse_frag s)

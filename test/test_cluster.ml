@@ -269,7 +269,9 @@ let wait ?(timeout = 10.) what cond =
   in
   go ()
 
-let live_replication () =
+(* A primary and a replica following it, both with fsync_every 1, and a
+   client on each. *)
+let with_live_pair f =
   let p_root = fresh_base () and r_root = fresh_base () in
   let p = Server.start { (Server.default_config ~root:p_root) with fsync_every = 1 } in
   let r =
@@ -295,7 +297,21 @@ let live_replication () =
     ~finally:(fun () ->
       Client.close pc;
       Client.close rc)
-  @@ fun () ->
+  @@ fun () -> f p pc rc
+
+let wait_drained pc rc doc =
+  wait ("the replica to follow " ^ doc) (fun () ->
+      match Client.docs rc with
+      | Ok (P.Docs_r l) -> List.mem (doc, "QED", false) l
+      | _ -> false);
+  wait "replication lag to drain" (fun () ->
+      match Client.stats pc ~doc with
+      | Ok (P.Stats_r st) ->
+        st.P.st_lag <> [] && List.for_all (fun (_, lag) -> lag = 0) st.P.st_lag
+      | _ -> false)
+
+let live_replication () =
+  with_live_pair @@ fun _ pc rc ->
   let root_label =
     match Client.open_doc pc ~doc:"rdoc" ~scheme:"QED" ~nodes:20 ~seed:3 with
     | Ok (P.Opened { ok_root; _ }) -> ok_root
@@ -304,17 +320,9 @@ let live_replication () =
   (match Client.update pc ~doc:"rdoc" [ Oplog.Insert_last (root_label, Tree.elt "x" []) ] with
   | Ok (P.Updated _) -> ()
   | _ -> Alcotest.fail "primary update failed");
-  (* the replication manager discovers, bootstraps and follows the doc *)
-  wait "the replica to follow rdoc" (fun () ->
-      match Client.docs rc with
-      | Ok (P.Docs_r l) -> List.mem ("rdoc", "QED", false) l
-      | _ -> false);
-  (* satellite metric: the primary reports per-replica lag, and it drains *)
-  wait "replication lag to drain" (fun () ->
-      match Client.stats pc ~doc:"rdoc" with
-      | Ok (P.Stats_r st) ->
-        st.P.st_lag <> [] && List.for_all (fun (_, lag) -> lag = 0) st.P.st_lag
-      | _ -> false);
+  (* the replication manager discovers, bootstraps and follows the doc;
+     the primary reports per-replica lag, and it drains *)
+  wait_drained pc rc "rdoc";
   (match Client.stats pc ~doc:"rdoc" with
   | Ok (P.Stats_r st) ->
     check Alcotest.bool "st_offset exposes the durable position" true (st.P.st_offset > 0)
@@ -340,6 +348,51 @@ let live_replication () =
   match Client.update rc ~doc:"rdoc" [ Oplog.Insert_last (root_label, Tree.elt "y" []) ] with
   | Ok (P.Updated { up_applied = 1; _ }) -> ()
   | _ -> Alcotest.fail "promoted replica refused a write"
+
+(* The exactly-once window survives a promotion: the promoted replica
+   answers a resend of an update the old primary applied from its window,
+   rebuilt from the Marks its journal received, instead of applying it a
+   second time. Promoting a primary again leaves its window alone. *)
+let dedup_survives_promotion () =
+  with_live_pair @@ fun p pc rc ->
+  let root_label =
+    match Client.open_doc pc ~doc:"edoc" ~scheme:"QED" ~nodes:20 ~seed:3 with
+    | Ok (P.Opened { ok_root; _ }) -> ok_root
+    | _ -> Alcotest.fail "open failed"
+  in
+  let update c seq name =
+    let ops = [ Oplog.Insert_last (root_label, Tree.elt name []) ] in
+    match Client.request c (P.Update { u_doc = "edoc"; u_client = "c1"; u_seq = seq; u_ops = ops }) with
+    | Ok (P.Updated { up_dedup; up_fresh; _ }) -> (up_dedup, up_fresh)
+    | _ -> Alcotest.fail "update failed"
+  in
+  let nodes c =
+    match Client.stats c ~doc:"edoc" with
+    | Ok (P.Stats_r st) -> st.P.st_nodes
+    | _ -> Alcotest.fail "stats failed"
+  in
+  check Alcotest.bool "first send applies" false (fst (update pc 1 "x"));
+  check Alcotest.bool "resend to the primary dedups" true (fst (update pc 1 "x"));
+  wait_drained pc rc "edoc";
+  check Alcotest.int "primary nodes" 21 (nodes pc);
+  check Alcotest.int "replica nodes" 21 (nodes rc);
+  ignore (Server.stop p);
+  (match Client.promote rc ~doc:"edoc" with
+  | Ok (P.Promoted _) -> ()
+  | _ -> Alcotest.fail "promote failed");
+  check Alcotest.bool "resend to the promoted replica dedups" true (fst (update rc 1 "x"));
+  check Alcotest.int "applied once" 21 (nodes rc);
+  (* a fresh reply carries its labels; a window rebuilt from the journal
+     could not, so a second promote must not rebuild *)
+  let dedup, fresh = update rc 2 "y" in
+  check Alcotest.bool "a new seq applies" false dedup;
+  (match Client.promote rc ~doc:"edoc" with
+  | Ok (P.Promoted _) -> ()
+  | _ -> Alcotest.fail "re-promote failed");
+  let dedup, fresh' = update rc 2 "y" in
+  check Alcotest.bool "resend after re-promote dedups" true dedup;
+  check Alcotest.bool "the window kept the fresh reply" true (fresh <> [] && fresh' = fresh);
+  check Alcotest.int "nodes after re-promote" 22 (nodes rc)
 
 (* ---- router ---------------------------------------------------------- *)
 
@@ -445,6 +498,7 @@ let suite =
     Alcotest.test_case "topology places documents stably" `Quick topology_placement;
     Alcotest.test_case "topology rejects garbage" `Quick topology_rejects_garbage;
     Alcotest.test_case "live pair: follow, drain, refuse, promote" `Quick live_replication;
+    Alcotest.test_case "live pair: exactly-once across a promotion" `Quick dedup_survives_promotion;
     Alcotest.test_case "router chases a topology rewrite" `Quick router_reroutes;
     Alcotest.test_case "failover torture: clean pair passes" `Quick failover_clean;
     Alcotest.test_case "failover torture: unrunnable intervals and seeds refused" `Quick

@@ -27,7 +27,7 @@ let deep_document () =
   let text = Serializer.to_string doc in
   let reparsed = Parser.parse text in
   check Alcotest.int "reparsed size" (depth + 1) (Tree.size reparsed);
-  check Alcotest.int "stream node count" (depth + 1) (Parser_stream.node_count text);
+  check Alcotest.int "stream node count" (depth + 1) (Parser.node_count text);
   (* deep labelling for a few representative schemes *)
   List.iter
     (fun name ->
@@ -106,7 +106,7 @@ let interval_gap_parameter () =
   let root_label = session.Core.Session.label_string (Tree.root doc) in
   check Alcotest.string "gap applied" "[64,1280]@0" root_label
 
-(* Mutation fuzz over the four text parsers: served query shapes and
+(* Mutation fuzz over the five text parsers: served query shapes and
    test scripts, each mutated by seeded bit flips, truncations and
    inserted punctuation. Whatever the input, the only exception that may
    escape a parser is the one its interface declares. *)
@@ -188,7 +188,10 @@ let parsers_raise_only_declared_errors () =
     (function Repro_encoding.Update_lang.Error _ -> true | _ -> false);
   fuzz "Topology.parse" topology_corpus
     (fun s -> ignore (Topology.parse s))
-    (function Topology.Bad_topology _ -> true | _ -> false)
+    (function Topology.Bad_topology _ -> true | _ -> false);
+  fuzz "Parser.parse" [ Samples.book_text; Test_xml.features_text ]
+    (fun s -> ignore (Parser.parse s))
+    (function Parser.Parse_error _ -> true | _ -> false)
 
 (* A number token takes digits, at most one '.', then digits; a second
    '.' is a positioned parse error, and over the wire a query error the

@@ -1,4 +1,4 @@
-(* Tests for the streaming parser and the one-pass bulk loader. *)
+(* Tests for the parser's event fold and the one-pass bulk loader. *)
 
 open Repro_xml
 
@@ -6,30 +6,30 @@ let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
 
 let event_to_string = function
-  | Parser_stream.Start_element (n, attrs) ->
+  | Parser.Start_element (n, attrs) ->
     Printf.sprintf "<%s%s>" n
       (String.concat "" (List.map (fun (k, v) -> Printf.sprintf " %s=%S" k v) attrs))
-  | Parser_stream.Text t -> Printf.sprintf "%S" t
-  | Parser_stream.End_element n -> Printf.sprintf "</%s>" n
+  | Parser.Text t -> Printf.sprintf "%S" t
+  | Parser.End_element n -> Printf.sprintf "</%s>" n
 
 let book_events () =
-  let events = Parser_stream.events Samples.book_text in
+  let events = Parser.events Samples.book_text in
   let starts =
     List.filter_map
-      (function Parser_stream.Start_element (n, _) -> Some n | _ -> None)
+      (function Parser.Start_element (n, _) -> Some n | _ -> None)
       events
   in
   check (Alcotest.list Alcotest.string) "start order"
     [ "book"; "title"; "author"; "publisher"; "editor"; "name"; "address"; "edition" ]
     starts;
-  check Alcotest.int "node count" 10 (Parser_stream.node_count Samples.book_text);
+  check Alcotest.int "node count" 10 (Parser.node_count Samples.book_text);
   (* balanced *)
   let depth =
     List.fold_left
       (fun d -> function
-        | Parser_stream.Start_element _ -> d + 1
-        | Parser_stream.End_element _ -> d - 1
-        | Parser_stream.Text _ -> d)
+        | Parser.Start_element _ -> d + 1
+        | Parser.End_element _ -> d - 1
+        | Parser.Text _ -> d)
       0 events
   in
   check Alcotest.int "balanced events" 0 depth
@@ -46,16 +46,16 @@ let stream_agrees_with_parser =
       (* rebuild a frag from the stream *)
       let rebuild events =
         let rec element = function
-          | Parser_stream.Start_element (n, attrs) :: rest ->
+          | Parser.Start_element (n, attrs) :: rest ->
             let rec children acc value rest =
               match rest with
-              | Parser_stream.End_element m :: rest' ->
+              | Parser.End_element m :: rest' ->
                 assert (m = n);
                 (Tree.elt ?value n (List.map (fun (k, v) -> Tree.attr k v) attrs @ List.rev acc), rest')
-              | Parser_stream.Text t :: rest' ->
-                let value = match value with Some v -> Some (v ^ " " ^ t) | None -> Some t in
-                children acc value rest'
-              | (Parser_stream.Start_element _ :: _) as rest' ->
+              | Parser.Text t :: rest' ->
+                assert (value = None);
+                children acc (Some t) rest'
+              | (Parser.Start_element _ :: _) as rest' ->
                 let child, rest'' = element rest' in
                 children (child :: acc) value rest''
               | [] -> assert false
@@ -70,11 +70,11 @@ let stream_agrees_with_parser =
         && List.length a.f_children = List.length b.f_children
         && List.for_all2 frag_equal a.f_children b.f_children
       in
-      frag_equal (Parser.parse_frag text) (rebuild (Parser_stream.events text)))
+      frag_equal (Parser.parse_frag text) (rebuild (Parser.events text)))
 
 let stream_errors () =
   let fails s =
-    match Parser_stream.events s with
+    match Parser.events s with
     | exception Parser.Parse_error _ -> ()
     | _ -> Alcotest.fail ("expected a parse error for " ^ s)
   in
@@ -85,9 +85,11 @@ let stream_errors () =
   fails "<a>&bad;</a>"
 
 let bulk_load_schemes () =
-  let text = Serializer.to_string ~indent:2 (Repro_workload.Xmark_lite.generate ~seed:3 Repro_workload.Xmark_lite.small) in
+  let xmark = Serializer.to_string ~indent:2 (Repro_workload.Xmark_lite.generate ~seed:3 Repro_workload.Xmark_lite.small) in
+  (* mixed content: an element's value is all of its text, trimmed once *)
+  let mixed = "<r> x <b/> y <c>z</c> w </r>" in
   List.iter
-    (fun pack ->
+    (fun (text, pack) ->
       let streamed = Repro_storage.Bulk_loader.load pack text in
       let parsed = Repro_storage.Bulk_loader.load_via_tree pack text in
       check Alcotest.string
@@ -96,10 +98,12 @@ let bulk_load_schemes () =
         (Serializer.to_string streamed.Core.Session.doc);
       check Alcotest.bool "order consistent" true (Core.Session.order_consistent streamed);
       check Alcotest.bool "no duplicates" false (Core.Session.has_duplicate_labels streamed))
-    [ (module Repro_schemes.Qed : Core.Scheme.S);
-      (module Repro_schemes.Dewey);
-      (module Repro_schemes.Ordpath);
-      (module Repro_schemes.Vector_scheme) ]
+    (List.concat_map
+       (fun pack -> [ (xmark, pack); (mixed, pack) ])
+       [ (module Repro_schemes.Qed : Core.Scheme.S);
+         (module Repro_schemes.Dewey);
+         (module Repro_schemes.Ordpath);
+         (module Repro_schemes.Vector_scheme) ])
 
 let bulk_load_appends_only () =
   (* streaming ingestion is pure append: no relabelling for any prefix

@@ -90,7 +90,11 @@ let errors () =
   fails "insert <x/> before //auction[" "bad xpath";
   fails "replace value of //auction[1] without-quotes" "missing with";
   fails "move //auctions into //auction[1]" "destination inside source";
-  fails "move /auctions before //auction[1]" "moving the root"
+  fails "move /auctions before //auction[1]" "moving the root";
+  (* the entity sits in a quoted attribute: an unquoted ';' ends a statement *)
+  match Update_lang.parse "insert <x a='&#-5;'/> before //auction[1]" with
+  | exception Update_lang.Error _ -> ()
+  | _ -> Alcotest.fail "expected an error for a negative code point"
 
 let parse_roundtrip () =
   let script =

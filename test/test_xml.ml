@@ -85,17 +85,18 @@ let parse_book () =
   check Alcotest.bool "attribute kind" true (genre.Tree.kind = Tree.Attribute);
   check (Alcotest.option Alcotest.string) "attr value" (Some "Fantasy") genre.Tree.value
 
-let parse_features () =
-  let doc =
-    Parser.parse
-      {|<?xml version="1.0"?><!-- prolog comment --><!DOCTYPE r [<!ELEMENT r ANY>]>
+(* A document using every construct the parser accepts. *)
+let features_text =
+  {|<?xml version="1.0"?><!-- prolog comment --><!DOCTYPE r [<!ELEMENT r ANY>]>
         <r a="1 &amp; 2">
           <!-- inner comment --><?pi data?>
           <sub>x &lt;y&gt; &#65;&#x42;</sub>
           <empty/>
           <cdata><![CDATA[raw <stuff> &amp; here]]></cdata>
         </r>|}
-  in
+
+let parse_features () =
+  let doc = Parser.parse features_text in
   check Alcotest.int "nodes" 5 (Tree.size doc);
   let kids = Tree.children (Tree.root doc) in
   let attr = List.nth kids 0 and sub = List.nth kids 1 and cdata = List.nth kids 3 in
@@ -103,6 +104,18 @@ let parse_features () =
   check (Alcotest.option Alcotest.string) "entities in text" (Some "x <y> AB") sub.Tree.value;
   check (Alcotest.option Alcotest.string) "cdata verbatim" (Some "raw <stuff> &amp; here")
     cdata.Tree.value
+
+(* Comments, PIs and blanks may come in any order around the root; an
+   element's value is all of its text, trimmed once. *)
+let parse_misc_and_mixed () =
+  List.iter
+    (fun s ->
+      match Parser.parse_result s with
+      | Ok doc -> check Alcotest.int s 1 (Tree.size doc)
+      | Error e -> Alcotest.failf "%s: %a" s Parser.pp_error e)
+    [ "<a/> <!--x--> <!--y-->"; "<a/><?p?> <?q?>" ];
+  let root = Tree.root (Parser.parse "<a> x <b/> y </a>") in
+  check (Alcotest.option Alcotest.string) "mixed value" (Some "x  y") root.Tree.value
 
 let parse_errors () =
   let fails s =
@@ -119,6 +132,10 @@ let parse_errors () =
   fails "<a>text</a><b/>";
   fails "<a x=1/>";
   fails "<1tag/>";
+  fails "<a/><!DOCTYPE x>";
+  (* a negative code point is a positioned parse error *)
+  fails "<a>&#-5;</a>";
+  fails "<a b='&#-1;'/>";
   match Parser.parse_result "<a><b></a>" with
   | Error e -> check Alcotest.bool "error has a position" true (e.Parser.line >= 1)
   | Ok _ -> Alcotest.fail "expected mismatch error"
@@ -220,6 +237,7 @@ let suite =
     ("parse the sample book", `Quick, parse_book);
     ("parser features", `Quick, parse_features);
     ("parser errors", `Quick, parse_errors);
+    ("parser misc and mixed content", `Quick, parse_misc_and_mixed);
     ("escaping", `Quick, escaping);
     ("oracle vs preorder ranks", `Quick, oracle_against_preorder);
     ("oracle axes", `Quick, oracle_axes);
