@@ -826,16 +826,11 @@ let loadgen_cmd =
       else Repro_io.Io.real_sock
     in
     let resolve =
-      match cluster with
-      | None -> None
-      | Some topo_path ->
-        (* re-read per connect, so a promotion published between runs (or
-           between client spawns) is picked up without restarting *)
-        Some
-          (fun doc ->
-            let topo = Repro_cluster.Topology.load topo_path in
-            let n = Repro_cluster.Topology.primary_for topo doc in
-            (n.Repro_cluster.Topology.n_host, n.Repro_cluster.Topology.n_port))
+      (* loaded once up front, so a bad file is reported before any worker starts *)
+      try Option.map Repro_cluster.Topology.resolver cluster
+      with Repro_cluster.Topology.Bad_topology reason ->
+        Format.eprintf "loadgen: bad topology file %s: %s@." (Option.get cluster) reason;
+        exit 1
     in
     let run_against port =
       let cfg =
@@ -1136,11 +1131,7 @@ let cluster_smoke sup ~ops =
       fmt
   in
   let topo_path = S.topology_path sup in
-  let resolve doc =
-    let topo = T.load topo_path in
-    let n = T.primary_for topo doc in
-    (n.T.n_host, n.T.n_port)
-  in
+  let resolve = T.resolver topo_path in
   let loadgen prefix seed =
     let cfg =
       {
@@ -1323,7 +1314,7 @@ let cluster_cmd =
          "Launch a replicated, sharded cluster of update servers: N primaries \
           placed by document-name hash, M journal-shipping replicas each, \
           automatic promotion when a primary dies. Writes the topology file \
-          routers and loadgen --cluster consume.")
+          that loadgen --cluster dials through.")
     Term.(
       const run $ shards $ replicas $ root $ fsync_every_arg $ commit_interval_arg $ commit_max_arg
       $ smoke $ smoke_ops)

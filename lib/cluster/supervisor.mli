@@ -6,7 +6,7 @@
     [--replica-of] pointing at it. Every child binds an ephemeral port
     and reports it through a port file under [root]; child output goes
     to per-child [.out] files. The supervisor writes the {!Topology}
-    file that routers and the load generator consume, and rewrites it —
+    file that clients dial through ({!Topology.resolver}), and rewrites it —
     version bumped, atomically — on every promotion or replica loss.
 
     Failover is deliberately simple and observable: {!poll} reaps dead

@@ -26,13 +26,11 @@ let node_of_string s =
 let n_shards t = Array.length t.shards
 
 (* Placement is the same CRC-32 the wire frames and the journal already
-   trust, masked to non-negative: every router instance, on any machine,
+   trust, masked to non-negative: every client, on any machine,
    maps a document name to the same shard without coordination. *)
 let shard_of t doc =
   if Array.length t.shards = 0 then bad "topology has no shards";
   Int32.to_int (Repro_codes.Crc32.string doc) land 0x3FFFFFFF mod Array.length t.shards
-
-let primary_for t doc = t.shards.(shard_of t doc).s_primary
 
 let render t =
   let b = Buffer.create 256 in
@@ -82,3 +80,10 @@ let load ?(io = Io.real) path =
     with Io.Io_error { reason; _ } -> bad "topology %s unreadable: %s" path reason
   in
   parse data
+
+let resolver ?(io = Io.real) path =
+  let last = ref (load ~io path) in
+  fun doc ->
+    (match load ~io path with topo -> last := topo | exception Bad_topology _ -> ());
+    let n = !last.shards.(shard_of !last doc).s_primary in
+    (n.n_host, n.n_port)

@@ -2,12 +2,12 @@
 
     A topology is N shards, each a primary plus zero or more replicas.
     Documents are placed by hashing the document name — the same CRC-32
-    the wire frames and the journal trust — so every router, on any
+    the wire frames and the journal trust — so every client, on any
     machine, maps a name to the same shard with no coordination and no
     directory service. The topology itself is a small text file
     ([XCL1 <version>] then one [shard <primary> <replica>...] line per
-    shard), written atomically; routers re-read it when a request
-    bounces, which is how a promotion propagates.
+    shard), written atomically; a client dialing through {!resolver}
+    re-reads it at every redial, which is how a promotion propagates.
 
     The version number increases on every rewrite (promotion, replica
     loss), so an observer can tell a reload changed anything. *)
@@ -31,9 +31,6 @@ val shard_of : t -> string -> int
     [crc32(name) mod n_shards]. Raises {!Bad_topology} on an empty
     topology. *)
 
-val primary_for : t -> string -> node
-(** The primary currently serving this document, per this topology. *)
-
 val render : t -> string
 val parse : string -> t
 (** Raises {!Bad_topology} on malformed input. [parse (render t) = t]. *)
@@ -43,3 +40,9 @@ val save : ?io:Repro_io.Io.t -> string -> t -> unit
 
 val load : ?io:Repro_io.Io.t -> string -> t
 (** Raises {!Bad_topology} when unreadable or malformed. *)
+
+val resolver : ?io:Repro_io.Io.t -> string -> string -> string * int
+(** [resolver path doc] is the [(host, port)] of [doc]'s shard primary:
+    the [resolve] a {!Repro_server.Server_client} dials through. Each
+    call re-reads [path], keeping the last good topology when a read
+    fails; only the first load, by [resolver path], raises {!Bad_topology}. *)

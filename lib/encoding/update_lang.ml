@@ -18,16 +18,17 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 (* ------------------------------------------------------------------ *)
 
 (* The script is cut into statements at top-level ';' (quotes in XPath
-   string literals and XML attribute values are respected), then each
-   statement is parsed keyword by keyword. *)
+   string literals and XML attribute values are respected, and so is the
+   ';' that closes an entity or character reference in a payload), then
+   each statement is parsed keyword by keyword. *)
 
 let split_statements src =
   let out = ref [] and buf = Buffer.create 64 in
-  let quote = ref None in
+  let quote = ref None and in_ref = ref false in
   String.iter
     (fun c ->
       match (!quote, c) with
-      | None, ';' ->
+      | None, ';' when not !in_ref ->
         out := Buffer.contents buf :: !out;
         Buffer.clear buf
       | None, ('"' | '\'') ->
@@ -35,6 +36,9 @@ let split_statements src =
         Buffer.add_char buf c
       | Some q, c when c = q ->
         quote := None;
+        Buffer.add_char buf c
+      | None, ('&' | ';') ->
+        in_ref := c = '&';
         Buffer.add_char buf c
       | _ -> Buffer.add_char buf c)
     src;

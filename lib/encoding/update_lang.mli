@@ -16,10 +16,13 @@
     move //auction[3] after //auction[1];
     v}
 
-    Statements are separated by [;]. Targets are XPath expressions; they
-    must select exactly one node, except for [delete] which removes every
-    selected node. Each executed statement goes through the session, so
-    the bound labelling scheme observes every update. *)
+    Statements are separated by [;]; one inside quotes or closing a
+    reference ([&amp;], [&#65;]) is not a separator, but a bare [;] in
+    character data still is (write [&#59;]). Targets are XPath
+    expressions; they must select exactly one node, except for [delete]
+    which removes every selected node. Each executed statement goes
+    through the session, so the bound labelling scheme observes every
+    update. *)
 
 type position = Before | After | First_into | Last_into
 

@@ -185,17 +185,14 @@ let worker cfg i tally =
   let docidx = if shared then i mod cfg.g_docs else i in
   let doc = Printf.sprintf "%s-%d" cfg.g_doc_prefix docidx in
   let scheme = List.nth cfg.g_schemes (docidx mod List.length cfg.g_schemes) in
-  (* cluster mode: the resolver maps the document name to the shard
-     primary that owns it; single-server mode connects to g_host:g_port *)
-  let host, port =
-    match cfg.g_resolve with Some f -> f doc | None -> (cfg.g_host, cfg.g_port)
-  in
   (* a stable per-worker identity: retried mutations carry the same
      (client, seq) and the server's dedup window makes them exactly-once *)
   let c =
     Server_client.connect ~sock:cfg.g_sock ~timeout:cfg.g_timeout
       ~client:(Printf.sprintf "%s-w%d-%d" cfg.g_doc_prefix i cfg.g_seed)
-      ~retries:cfg.g_retries ~backoff:cfg.g_backoff ~host ~port ()
+      ~retries:cfg.g_retries ~backoff:cfg.g_backoff
+      ?resolve:(Option.map (fun f () -> f doc) cfg.g_resolve)
+      ~host:cfg.g_host ~port:cfg.g_port ()
   in
   Fun.protect
     ~finally:(fun () ->

@@ -42,8 +42,8 @@ type config = {
           one. A {!Repro_io.Netsim} wrap turns the run into a
           flaky-network drill. *)
   g_resolve : (string -> string * int) option;
-      (** cluster mode: map a document name to the (host, port) of the
-          shard primary owning it, consulted at connect time. [None]
+      (** cluster mode: a document's shard primary, asked at every dial,
+          so with [g_retries > 0] a worker follows a promotion. [None]
           (the default) connects every client to [g_host:g_port]. *)
   g_query_pct : int;
       (** [-1] (default): the classic mixed workload. [0..100]: the

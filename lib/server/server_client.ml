@@ -11,8 +11,7 @@ type counters = {
 type conn = { fd : Unix.file_descr; reader : Wire.reader }
 
 type t = {
-  host : string;
-  port : int;
+  resolve : unit -> string * int;
   sock : Io.sock;
   timeout : float;
   client : string;
@@ -30,24 +29,24 @@ type t = {
 }
 
 let dial t =
+  let host, port = t.resolve () in
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string t.host, t.port));
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.timeout;
     Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.timeout
   with
   | () -> { fd; reader = Wire.reader t.sock fd }
   | exception Unix.Unix_error (e, _, _) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise (Io.Io_error { op = "connect"; path = t.host; reason = Unix.error_message e })
+    raise (Io.Io_error { op = "connect"; path = host; reason = Unix.error_message e })
 
 let connect ?(sock = Io.real_sock) ?(timeout = 30.) ?(client = "") ?(retries = 0)
-    ?(backoff = 0.05) ?(backoff_cap = 1.0) ~host ~port () =
+    ?(backoff = 0.05) ?(backoff_cap = 1.0) ?resolve ~host ~port () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let t =
     {
-      host;
-      port;
+      resolve = Option.value resolve ~default:(fun () -> (host, port));
       sock;
       timeout;
       client;
@@ -123,13 +122,13 @@ let request t req =
       | _ -> false
     in
     let rec go n =
+      let again () =
+        t.n_retries <- t.n_retries + 1;
+        sleep_backoff t n;
+        go (n + 1)
+      in
       let retry ~sent reason =
-        if n >= t.retries || (sent && anon_mutation) then Error reason
-        else begin
-          t.n_retries <- t.n_retries + 1;
-          sleep_backoff t n;
-          go (n + 1)
-        end
+        if n >= t.retries || (sent && anon_mutation) then Error reason else again ()
       in
       let conn =
         match t.conn with
@@ -145,9 +144,12 @@ let request t req =
       match conn with
       | Error reason -> retry ~sent:false ("connect: " ^ reason)
       | Ok c -> (
-        let fail reason =
+        let hang_up () =
           t.conn <- None;
-          (try t.sock.Io.s_close c.fd with Io.Io_error _ -> ());
+          try t.sock.Io.s_close c.fd with Io.Io_error _ -> ()
+        in
+        let fail reason =
+          hang_up ();
           retry ~sent:true reason
         in
         match Wire.send_frame t.sock c.fd (P.encode_req req) with
@@ -160,12 +162,13 @@ let request t req =
               (* the server applied nothing: always safe to back off and
                  retry, even for an anonymous mutation *)
               t.n_overloaded <- t.n_overloaded + 1;
-              if n >= t.retries then Ok resp
-              else begin
-                t.n_retries <- t.n_retries + 1;
-                sleep_backoff t n;
-                go (n + 1)
-              end
+              if n >= t.retries then Ok resp else again ()
+            | Ok (P.Err ((P.Not_primary | P.Shutting_down) as code, _))
+              when n < t.retries && not (code = P.Shutting_down && anon_mutation) ->
+              (* the cluster moved: resend as stamped to wherever [resolve]
+                 now points (the .mli says which resends are safe) *)
+              hang_up ();
+              again ()
             | Ok resp ->
               (match resp with
               | P.Updated { up_dedup = true; _ } ->

@@ -8,17 +8,27 @@
     resends under capped exponential backoff with jitter before giving
     up. Protocol errors the server chose to send are an ordinary
     [Ok (Err (code, msg))] — the connection is still usable — except
-    {!Protocol.err.Overloaded}, which is backed off and retried like a
-    transport failure (the server applied nothing).
+    three, which with [retries > 0] are retried until the budget runs
+    out (the last one then comes back as the reply):
+    - {!Protocol.err.Overloaded}: backed off and resent on the same
+      connection (the server applied nothing);
+    - {!Protocol.err.Not_primary}: the peer is a follower, which refuses
+      a write before applying anything. The client hangs up, redials
+      wherever [resolve] now points, and resends;
+    - {!Protocol.err.Shutting_down}: chased the same way, except for an
+      anonymous mutation. A draining server sends that reply to parked
+      mutations it has already applied, so resending one without a
+      dedup identity could apply it twice.
 
     Retry safety: requests carrying a [client] identity stamp each fresh
     mutation with a per-client sequence number, and a retry resends the
     same one, so the server's dedup window makes the retry idempotent —
     retried freely. An anonymous mutation ([client = ""], the default) is
-    only retried while it is provably unsent (connect-phase failures);
-    after the bytes may have reached the server, the failure surfaces as
-    [Error] instead of risking double-application. Reads and the
-    replication requests are idempotent and always retried.
+    only retried while it is provably unsent (connect-phase failures) or
+    provably unapplied (Overloaded, Not_primary); after the bytes may have
+    reached the server, a transport failure surfaces as [Error] instead of
+    risking double-application. Reads and the replication requests are
+    idempotent and always retried.
 
     Not thread-safe: one client per thread, which is also how the load
     generator uses it. *)
@@ -26,7 +36,7 @@
 type t
 
 type counters = {
-  c_retries : int;  (** resends after a transport failure or Overloaded *)
+  c_retries : int;  (** resends after a transport failure or a retried error reply *)
   c_reconnects : int;  (** successful redials after the initial connect *)
   c_dedup_hits : int;  (** replies answered from the server's dedup window *)
   c_overloaded : int;  (** Overloaded replies received (before retry) *)
@@ -39,6 +49,7 @@ val connect :
   ?retries:int ->
   ?backoff:float ->
   ?backoff_cap:float ->
+  ?resolve:(unit -> string * int) ->
   host:string ->
   port:int ->
   unit ->
@@ -48,9 +59,12 @@ val connect :
     stable identity for exactly-once retries; make it unique per logical
     client, not per connection. [retries] (default 0) caps resends per
     request; attempt [n] sleeps jittered [min (backoff_cap, backoff * 2^n)]
-    (defaults 50ms, cap 1s). Raises {!Repro_io.Io.Io_error} when the
-    initial connection is refused. The [sock] seam defaults to the real
-    one; tests pass a fault-injecting wrap. *)
+    (defaults 50ms, cap 1s). [resolve] is called at every dial, the first
+    and each redial, for the (host, port) to dial; in a cluster it is
+    [Repro_cluster.Topology.resolver], so a bounce follows a promotion.
+    It defaults to the fixed [host:port]. Raises {!Repro_io.Io.Io_error}
+    when the initial connection is refused. The [sock] seam defaults to
+    the real one; tests pass a fault-injecting wrap. *)
 
 val close : t -> unit
 (** Idempotent. A closed client stays closed: no redial. *)
@@ -58,8 +72,8 @@ val close : t -> unit
 val backoff_delay : base:float -> cap:float -> Random.State.t -> int -> float
 (** The wait before retry attempt [n], in seconds:
     [min cap (base * 2^n)] times a jitter drawn uniformly from
-    [\[0.5, 1.5)] — one draw from [rng] per call. The client's retries and
-    the cluster router's re-routes both sleep this long. *)
+    [\[0.5, 1.5)] — one draw from [rng] per call. Every retry of
+    {!request} sleeps this long. *)
 
 val counters : t -> counters
 (** Cumulative resilience counters since [connect]. *)

@@ -161,7 +161,8 @@ let skip_misc st =
   in
   go ()
 
-let rec skip_prolog st =
+(* Misc, at most one DOCTYPE, misc again: the prolog of XML 1.0 [22]. *)
+let skip_prolog st =
   skip_misc st;
   if looking_at st "<!DOCTYPE" then begin
     (* Skip to the matching '>', tolerating an internal subset. *)
@@ -173,7 +174,8 @@ let rec skip_prolog st =
       | '>' -> decr depth
       | _ -> ()
     done;
-    skip_prolog st
+    skip_misc st;
+    if looking_at st "<!DOCTYPE" then fail st "a second DOCTYPE declaration"
   end
 
 (* Scans the element that starts at the cursor and folds its events

@@ -4,8 +4,9 @@
    Journal.create atomically supersedes a journal left behind by an
    earlier life of the document, the topology codec round-trips and
    places documents stably, a real primary/replica server pair converges
-   over loopback sockets and survives promotion, the shard router chases
-   a topology rewrite, and the failover torture harness passes clean —
+   over loopback sockets and survives promotion, a retrying client chases
+   a Not_primary bounce and a topology rewrite, and the failover torture
+   harness passes clean —
    while a deliberately broken file system makes it scream. *)
 
 open Repro_xml
@@ -15,7 +16,6 @@ module Server = Repro_server.Server
 module Client = Repro_server.Server_client
 module T = Repro_torture.Torture
 module Topology = Repro_cluster.Topology
-module Router = Repro_cluster.Router
 
 let check = Alcotest.check
 
@@ -254,6 +254,19 @@ let topology_rejects_garbage () =
     [ ""; "XCL9 1\n"; "XCL1 x\n"; "XCL1 1\nshard\n"; "XCL1 1\nshard nocolon\n";
       "XCL1 1\nshard h:notaport\n" ]
 
+(* A re-read that fails keeps the last good topology; a rewrite being
+   picked up is [client_follows_topology]'s case. *)
+let topology_resolver () =
+  let path = fresh_base () in
+  Topology.save path topo3;
+  let resolve = Topology.resolver path in
+  let primary = topo3.Topology.shards.(Topology.shard_of topo3 "d").Topology.s_primary in
+  let want = (primary.Topology.n_host, primary.Topology.n_port) in
+  Out_channel.with_open_text path (fun oc -> output_string oc "XCL1 6\nshard\n");
+  check Alcotest.(pair string int) "a malformed file" want (resolve "d");
+  Sys.remove path;
+  check Alcotest.(pair string int) "a missing file" want (resolve "d")
+
 (* ---- live primary/replica pair over loopback ------------------------- *)
 
 let wait ?(timeout = 10.) what cond =
@@ -297,7 +310,7 @@ let with_live_pair f =
     ~finally:(fun () ->
       Client.close pc;
       Client.close rc)
-  @@ fun () -> f p pc rc
+  @@ fun () -> f p r pc rc
 
 let wait_drained pc rc doc =
   wait ("the replica to follow " ^ doc) (fun () ->
@@ -310,13 +323,19 @@ let wait_drained pc rc doc =
         st.P.st_lag <> [] && List.for_all (fun (_, lag) -> lag = 0) st.P.st_lag
       | _ -> false)
 
+let open_root c doc =
+  match Client.open_doc c ~doc ~scheme:"QED" ~nodes:20 ~seed:3 with
+  | Ok (P.Opened { ok_root; _ }) -> ok_root
+  | _ -> Alcotest.fail "open failed"
+
+let nodes c doc =
+  match Client.stats c ~doc with
+  | Ok (P.Stats_r st) -> st.P.st_nodes
+  | _ -> Alcotest.fail "stats failed"
+
 let live_replication () =
-  with_live_pair @@ fun _ pc rc ->
-  let root_label =
-    match Client.open_doc pc ~doc:"rdoc" ~scheme:"QED" ~nodes:20 ~seed:3 with
-    | Ok (P.Opened { ok_root; _ }) -> ok_root
-    | _ -> Alcotest.fail "open failed"
-  in
+  with_live_pair @@ fun _ _ pc rc ->
+  let root_label = open_root pc "rdoc" in
   (match Client.update pc ~doc:"rdoc" [ Oplog.Insert_last (root_label, Tree.elt "x" []) ] with
   | Ok (P.Updated _) -> ()
   | _ -> Alcotest.fail "primary update failed");
@@ -354,23 +373,15 @@ let live_replication () =
    rebuilt from the Marks its journal received, instead of applying it a
    second time. Promoting a primary again leaves its window alone. *)
 let dedup_survives_promotion () =
-  with_live_pair @@ fun p pc rc ->
-  let root_label =
-    match Client.open_doc pc ~doc:"edoc" ~scheme:"QED" ~nodes:20 ~seed:3 with
-    | Ok (P.Opened { ok_root; _ }) -> ok_root
-    | _ -> Alcotest.fail "open failed"
-  in
+  with_live_pair @@ fun p _ pc rc ->
+  let root_label = open_root pc "edoc" in
   let update c seq name =
     let ops = [ Oplog.Insert_last (root_label, Tree.elt name []) ] in
     match Client.request c (P.Update { u_doc = "edoc"; u_client = "c1"; u_seq = seq; u_ops = ops }) with
     | Ok (P.Updated { up_dedup; up_fresh; _ }) -> (up_dedup, up_fresh)
     | _ -> Alcotest.fail "update failed"
   in
-  let nodes c =
-    match Client.stats c ~doc:"edoc" with
-    | Ok (P.Stats_r st) -> st.P.st_nodes
-    | _ -> Alcotest.fail "stats failed"
-  in
+  let nodes c = nodes c "edoc" in
   check Alcotest.bool "first send applies" false (fst (update pc 1 "x"));
   check Alcotest.bool "resend to the primary dedups" true (fst (update pc 1 "x"));
   wait_drained pc rc "edoc";
@@ -394,52 +405,76 @@ let dedup_survives_promotion () =
   check Alcotest.bool "the window kept the fresh reply" true (fresh <> [] && fresh' = fresh);
   check Alcotest.int "nodes after re-promote" 22 (nodes rc)
 
-(* ---- router ---------------------------------------------------------- *)
+(* ---- a client that follows the cluster ------------------------------ *)
 
-let router_reroutes () =
+(* A write sent to a follower bounces with Not_primary before anything is
+   applied, so even an anonymous update is resent: to wherever [resolve]
+   points at the redial, here the primary. *)
+let not_primary_bounce () =
+  with_live_pair @@ fun p r pc rc ->
+  let root_label = open_root pc "ndoc" in
+  wait_drained pc rc "ndoc";
+  let before = nodes pc "ndoc" in
+  let dials = ref 0 in
+  let resolve () =
+    incr dials;
+    ("127.0.0.1", if !dials = 1 then Server.port r else Server.port p)
+  in
+  let c = Client.connect ~retries:5 ~backoff:0.001 ~resolve ~host:"127.0.0.1" ~port:0 () in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.update c ~doc:"ndoc" [ Oplog.Insert_last (root_label, Tree.elt "x" []) ] with
+  | Ok (P.Updated { up_applied = 1; up_dedup = false; _ }) -> ()
+  | _ -> Alcotest.fail "the bounced update was not applied");
+  check Alcotest.int "applied exactly once" (before + 1) (nodes pc "ndoc");
+  let ctr = Client.counters c in
+  check Alcotest.(pair int int) "one resend, one redial" (1, 1)
+    (ctr.Client.c_retries, ctr.Client.c_reconnects)
+
+(* The primary dies and the supervisor rewrites the topology: a client
+   dialing through [Topology.resolver] bounces off the dead connection and
+   lands on the new primary. *)
+let client_follows_topology () =
   let a_root = fresh_base () and b_root = fresh_base () in
   let a = Server.start { (Server.default_config ~root:a_root) with fsync_every = 1 } in
   let b = Server.start { (Server.default_config ~root:b_root) with fsync_every = 1 } in
   let path = fresh_base () in
-  let topo port version =
-    {
-      Topology.version;
-      shards =
-        [|
-          {
-            Topology.s_primary = { Topology.n_host = "127.0.0.1"; n_port = port };
-            s_replicas = [];
-          };
-        |];
-    }
+  let publish version s =
+    Topology.save path
+      (Topology.parse (Printf.sprintf "XCL1 %d\nshard 127.0.0.1:%d\n" version (Server.port s)))
   in
-  Topology.save path (topo (Server.port a) 1);
-  let rt = Router.create ~retries:40 ~backoff:0.05 path in
+  publish 1 a;
+  let primary_of = Topology.resolver path in
+  let c =
+    Client.connect ~retries:40 ~backoff:0.05 ~backoff_cap:0.5
+      ~resolve:(fun () -> primary_of "d")
+      ~host:"127.0.0.1" ~port:0 ()
+  in
   Fun.protect
     ~finally:(fun () ->
-      Router.close rt;
+      Client.close c;
+      (try ignore (Server.stop a) with _ -> ());
       (try ignore (Server.stop b) with _ -> ());
       (try Sys.remove path with Sys_error _ -> ());
       rm_rf a_root;
       rm_rf b_root)
   @@ fun () ->
-  let open_req = P.Open { o_doc = "d"; o_scheme = "QED"; o_nodes = 10; o_seed = 1 } in
-  (match Router.request rt ~doc:"d" open_req with
-  | Ok (P.Opened _) -> ()
-  | _ -> Alcotest.fail "routed open failed");
-  check Alcotest.int "no bounces on a healthy cluster" 0 (Router.reroutes rt);
-  (* the primary dies and the supervisor rewrites the topology; the
-     router's next request bounces off the dead connection and chases *)
+  let open_d () =
+    match Client.open_doc c ~doc:"d" ~scheme:"QED" ~nodes:10 ~seed:1 with
+    | Ok (P.Opened _) -> ()
+    | Ok (P.Err (code, m)) -> Alcotest.fail ("reply: " ^ P.err_name code ^ ": " ^ m)
+    | Ok _ -> Alcotest.fail "unexpected reply"
+    | Error e -> Alcotest.fail ("client gave up: " ^ e)
+  in
+  open_d ();
+  let ctr = Client.counters c in
+  check Alcotest.(pair int int) "no resends or redials on a healthy cluster" (0, 0)
+    (ctr.Client.c_retries, ctr.Client.c_reconnects);
   ignore (Server.stop a);
-  Topology.save path (topo (Server.port b) 2);
-  (match Router.request rt ~doc:"d" open_req with
-  | Ok (P.Opened _) -> ()
-  | Ok (P.Err (code, m)) -> Alcotest.fail ("routed reply: " ^ P.err_name code ^ ": " ^ m)
-  | Ok _ -> Alcotest.fail "unexpected routed reply"
-  | Error e -> Alcotest.fail ("router gave up: " ^ e));
-  check Alcotest.bool "the bounce was counted" true (Router.reroutes rt > 0);
-  check Alcotest.int "the router converged on the new topology" 2
-    (Router.topology rt).Topology.version
+  publish 2 b;
+  open_d ();
+  check Alcotest.bool "the bounce redialed" true
+    ((Client.counters c).Client.c_reconnects >= 1);
+  check Alcotest.int "the new primary answered the open" 1 (Server.stop b).Server.s_docs
 
 (* ---- failover torture ------------------------------------------------ *)
 
@@ -497,9 +532,12 @@ let suite =
     Alcotest.test_case "topology round-trips" `Quick topology_roundtrip;
     Alcotest.test_case "topology places documents stably" `Quick topology_placement;
     Alcotest.test_case "topology rejects garbage" `Quick topology_rejects_garbage;
+    Alcotest.test_case "topology resolver keeps the last good file" `Quick topology_resolver;
     Alcotest.test_case "live pair: follow, drain, refuse, promote" `Quick live_replication;
     Alcotest.test_case "live pair: exactly-once across a promotion" `Quick dedup_survives_promotion;
-    Alcotest.test_case "router chases a topology rewrite" `Quick router_reroutes;
+    Alcotest.test_case "live pair: a Not_primary bounce lands on the primary" `Quick
+      not_primary_bounce;
+    Alcotest.test_case "client follows a topology rewrite" `Quick client_follows_topology;
     Alcotest.test_case "failover torture: clean pair passes" `Quick failover_clean;
     Alcotest.test_case "failover torture: unrunnable intervals and seeds refused" `Quick
       failover_rejects_unrunnable;

@@ -192,7 +192,7 @@ let client_survives_slow_loris () =
 
 (* ---- retry backoff --------------------------------------------------- *)
 
-(* The one delay formula the client and the cluster router both sleep:
+(* The one delay formula every client retry sleeps:
    jittered [0.5, 1.5) around the capped exponential, zero for a zero
    base, and the cap holding however many attempts have failed. *)
 let backoff_delay_bounds () =
@@ -214,10 +214,10 @@ let backoff_delay_bounds () =
   check Alcotest.bool "the cap holds at attempt 1000" true
     (Client.backoff_delay ~base:0.05 ~cap:0.5 rng 1000 < 0.75)
 
-(* Retry timings are reproducible under a seed only if the shared delay
-   draws what the client's and the router's inline copies drew: the same
-   value for the same state, and exactly one draw per call (a zero base
-   included), so the stream behind it stays aligned. *)
+(* Retry timings are reproducible under a seed only if the delay draws
+   what the inline formula draws: the same value for the same state, and
+   exactly one draw per call (a zero base included), so the stream behind
+   it stays aligned. *)
 let backoff_delay_keeps_stream () =
   let rng = Random.State.make [| 11 |] and twin = Random.State.make [| 11 |] in
   let reference ~base ~cap n =
@@ -319,6 +319,71 @@ let dedup_survives_recovery () =
       | _ -> Alcotest.fail "post-recovery retry was not a dedup hit");
       check Alcotest.int "applied exactly once across recovery" 1
         (count_name c ~doc:"d" "keep"))
+
+(* ---- Shutting_down bounces ------------------------------------------- *)
+
+(* A draining server whose final fsync fails answers each parked mutation
+   with Shutting_down after applying it, and the journal keeps it for the
+   next start. So the anonymous update comes back as the error, while the
+   identified one chases [resolve] to the restart and dedups there. *)
+let shutting_down_resends_only_deduped () =
+  let root = fresh_root () in
+  (* no flush cycle runs in test time: both replies stay parked *)
+  let cfg =
+    { (Server.default_config ~root) with fsync_every = 0; commit_interval_us = 30_000_000 }
+  in
+  let ctl, m = Failpoint.wrap Io.unix_syscalls in
+  let t = Server.start { cfg with io = Io.pack m } in
+  let port = ref (Server.port t) in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.stop t);
+      rm_rf root)
+  @@ fun () ->
+  let connect ?client () =
+    Client.connect ?client ~retries:40 ~backoff:0.01 ~backoff_cap:0.1
+      ~resolve:(fun () -> ("127.0.0.1", !port))
+      ~host:"127.0.0.1" ~port:0 ()
+  in
+  let c0 = connect () in
+  let lab = open_root c0 ~doc:"d" in
+  (* send in the background; the returned thunk waits for the outcome *)
+  let send ?client name =
+    let c = connect ?client () and r = ref (Error "no reply") in
+    let ops = [ Oplog.Insert_last (lab, Tree.elt name []) ] in
+    let th = Thread.create (fun () -> r := Client.update c ~doc:"d" ops) () in
+    fun () ->
+      Thread.join th;
+      Client.close c;
+      ( (match !r with
+        | Ok (P.Updated { up_dedup; _ }) -> if up_dedup then "dedup hit" else "applied"
+        | Ok (P.Err (e, _)) -> P.err_name e
+        | Ok _ | Error _ -> "no reply"),
+        (Client.counters c).Client.c_retries )
+  in
+  let anon = send "anon" and ident = send ~client:"keeper" "ident" in
+  let applied c = count_name c ~doc:"d" "anon" + count_name c ~doc:"d" "ident" in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while applied c0 < 2 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Client.close c0;
+  Failpoint.arm ctl [ (Failpoint.From (Failpoint.calls ctl + 1), Failpoint.Fsync_fail) ];
+  ignore (Server.stop t);
+  check Alcotest.(pair string int) "the anonymous update gets the error, unresent"
+    ("shutting-down", 0) (anon ());
+  let t2 = Server.start cfg in
+  let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port t2) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      ignore (Server.stop t2))
+  @@ fun () ->
+  ignore (open_root c ~doc:"d");
+  port := Server.port t2;
+  check Alcotest.string "the identified update is answered by the restart" "dedup hit"
+    (fst (ident ()));
+  check Alcotest.int "each update applied once" 2 (applied c)
 
 (* ---- overload shedding ----------------------------------------------- *)
 
@@ -507,6 +572,8 @@ let suite =
       backoff_delay_keeps_stream;
     Alcotest.test_case "dedup window" `Quick dedup_exactly_once;
     Alcotest.test_case "dedup survives recovery" `Quick dedup_survives_recovery;
+    Alcotest.test_case "Shutting_down resends only what dedup protects" `Quick
+      shutting_down_resends_only_deduped;
     Alcotest.test_case "overload sheds typed errors" `Quick overload_sheds_typed;
     Alcotest.test_case "retries ride out injected faults" `Quick retry_through_faults;
     Alcotest.test_case "queries resend freely" `Quick query_resends_freely;

@@ -96,6 +96,17 @@ let errors () =
   | exception Update_lang.Error _ -> ()
   | _ -> Alcotest.fail "expected an error for a negative code point"
 
+(* The ';' closing a reference in a payload does not end the statement. *)
+let references_in_payloads () =
+  let s = fresh () in
+  ignore
+    (Update_lang.run s
+       {|insert <x>&#65;</x> before //auction[@id='a1'];
+         insert <y>a&amp;b</y> into //auction[@id='a2']|});
+  let values path = List.map (fun (r : Encoding.row) -> r.value) (q s path) in
+  check Alcotest.(list (option string)) "character reference" [ Some "A" ] (values "//x");
+  check Alcotest.(list (option string)) "entity reference" [ Some "a&b" ] (values "//y")
+
 let parse_roundtrip () =
   let script =
     {|insert <a x="1"/> before //b; delete //c[d > 2]; replace value of //e with "v;1"; rename //f as g; move //h after //i|}
@@ -138,6 +149,7 @@ let suite =
     ("content updates", `Quick, content_updates);
     ("move", `Quick, move_statement);
     ("script errors", `Quick, errors);
+    ("references in payloads", `Quick, references_in_payloads);
     ("parse/print roundtrip", `Quick, parse_roundtrip);
     ("cross-scheme agreement", `Quick, cross_scheme);
   ]

@@ -133,6 +133,10 @@ let parse_errors () =
   fails "<a x=1/>";
   fails "<1tag/>";
   fails "<a/><!DOCTYPE x>";
+  fails "<!DOCTYPE a><!-- c --><!DOCTYPE b><a/>";
+  (match Parser.parse_result "<!DOCTYPE a><!DOCTYPE b><a/>" with
+  | Error e -> check Alcotest.(pair int int) "second DOCTYPE" (1, 13) (e.Parser.line, e.Parser.col)
+  | Ok _ -> Alcotest.fail "two DOCTYPEs accepted");
   (* a negative code point is a positioned parse error *)
   fails "<a>&#-5;</a>";
   fails "<a b='&#-1;'/>";
