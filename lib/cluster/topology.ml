@@ -81,9 +81,9 @@ let load ?(io = Io.real) path =
   in
   parse data
 
-let resolver ?(io = Io.real) path =
-  let last = ref (load ~io path) in
+let resolver path =
+  let last = ref (load path) in
   fun doc ->
-    (match load ~io path with topo -> last := topo | exception Bad_topology _ -> ());
+    (match load path with topo -> last := topo | exception Bad_topology _ -> ());
     let n = !last.shards.(shard_of !last doc).s_primary in
     (n.n_host, n.n_port)

@@ -41,7 +41,7 @@ val save : ?io:Repro_io.Io.t -> string -> t -> unit
 val load : ?io:Repro_io.Io.t -> string -> t
 (** Raises {!Bad_topology} when unreadable or malformed. *)
 
-val resolver : ?io:Repro_io.Io.t -> string -> string -> string * int
+val resolver : string -> string -> string * int
 (** [resolver path doc] is the [(host, port)] of [doc]'s shard primary:
     the [resolve] a {!Repro_server.Server_client} dials through. Each
     call re-reads [path], keeping the last good topology when a read

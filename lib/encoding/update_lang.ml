@@ -20,15 +20,31 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 (* The script is cut into statements at top-level ';' (quotes in XPath
    string literals and XML attribute values are respected, and so is the
    ';' that closes an entity or character reference in a payload), then
-   each statement is parsed keyword by keyword. *)
+   each statement is parsed keyword by keyword. A '&' opens a reference
+   only while the characters after it can still spell one ("&amp",
+   "&#65", "&#x41"), so the bare '&' that CDATA, comments and PIs allow
+   leaves the next ';' a separator. *)
+
+let ref_char ~first c =
+  match c with
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true
+  | '#' -> first
+  | '0' .. '9' | '.' | '-' -> not first
+  | c -> Char.code c >= 0x80
 
 let split_statements src =
   let out = ref [] and buf = Buffer.create 64 in
-  let quote = ref None and in_ref = ref false in
+  (* characters read since an open '&', or -1 outside a reference *)
+  let quote = ref None and ref_len = ref (-1) in
   String.iter
     (fun c ->
+      let in_ref = !ref_len > 0 in
+      ref_len :=
+        if c = '&' then 0
+        else if !ref_len >= 0 && ref_char ~first:(!ref_len = 0) c then !ref_len + 1
+        else -1;
       match (!quote, c) with
-      | None, ';' when not !in_ref ->
+      | None, ';' when not in_ref ->
         out := Buffer.contents buf :: !out;
         Buffer.clear buf
       | None, ('"' | '\'') ->
@@ -36,9 +52,6 @@ let split_statements src =
         Buffer.add_char buf c
       | Some q, c when c = q ->
         quote := None;
-        Buffer.add_char buf c
-      | None, ('&' | ';') ->
-        in_ref := c = '&';
         Buffer.add_char buf c
       | _ -> Buffer.add_char buf c)
     src;

@@ -18,7 +18,9 @@
 
     Statements are separated by [;]; one inside quotes or closing a
     reference ([&amp;], [&#65;]) is not a separator, but a bare [;] in
-    character data still is (write [&#59;]). Targets are XPath
+    character data still is (write [&#59;]). A [&] opens a reference
+    only when a name or [#] follows it, so the bare [&] of a CDATA
+    section or comment leaves the next [;] a separator. Targets are XPath
     expressions; they must select exactly one node, except for [delete]
     which removes every selected node. Each executed statement goes
     through the session, so the bound labelling scheme observes every

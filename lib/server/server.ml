@@ -2234,7 +2234,11 @@ let close_docs_graceful t =
           send_resp t pk.pk_conn pk.pk_slot (P.Err (P.Shutting_down, "server stopped before fsync")))
         orphans;
       d.d_closed <- true;
-      (try Durable_session.checkpoint d.d_durable with Io.Io_error _ -> ());
+      (* the checkpoint absorbs the Marks: rejournal the window (the close
+         flushes it) so a resend after a Shutting_down above dedups *)
+      (match Durable_session.checkpoint d.d_durable with
+      | () -> (try rejournal_marks d with Io.Io_error _ -> ())
+      | exception Io.Io_error _ -> ());
       List.iter
         (fun (conn, slot) -> send_resp t conn slot (P.Checkpointed (Journal.epoch (journal_of d))))
         waiters;

@@ -18,7 +18,8 @@
     - {!Protocol.err.Shutting_down}: chased the same way, except for an
       anonymous mutation. A draining server sends that reply to parked
       mutations it has already applied, so resending one without a
-      dedup identity could apply it twice.
+      dedup identity could apply it twice. An identified one dedups at
+      the restart: the stop's checkpoint rejournals the window.
 
     Retry safety: requests carrying a [client] identity stamp each fresh
     mutation with a per-client sequence number, and a retry resends the

@@ -19,18 +19,8 @@ module Topology = Repro_cluster.Topology
 
 let check = Alcotest.check
 
-let fresh_base =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xclu-test-%d-%d" (Unix.getpid ()) !n)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
+let fresh_base () = Fixture.fresh_path "xclu"
+let rm_rf = Fixture.rm_rf
 
 let rm_journal base =
   (* a journal at [base] is base.manifest plus per-epoch .snap/.log files *)

@@ -27,11 +27,7 @@ let with_base f =
              (List.init 10 (fun i -> i + 1))))
     (fun () -> f base)
 
-let flat (session : Core.Session.t) =
-  List.map
-    (fun (n : Tree.node) ->
-      (n.name, n.value, Tree.level n, session.Core.Session.label_string n))
-    (Tree.preorder session.Core.Session.doc)
+let flat = Fixture.flat
 
 let make_session seed =
   let doc =

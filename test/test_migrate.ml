@@ -310,34 +310,8 @@ let survival_skips () =
 
 (* ---- the wire path ---------------------------------------------------- *)
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  end
-
-let fresh_root =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xmig-test-%d-%d" (Unix.getpid ()) !n)
-
-let with_server f =
-  let root = fresh_root () in
-  let t = Server.start { (Server.default_config ~root) with fsync_every = 1 } in
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Server.stop t);
-      rm_rf root)
-    (fun () -> f t)
-
-let count_name c ~doc name =
-  match Client.labels c ~doc ~limit:10_000 with
-  | Ok (P.Labels_r l) -> List.length (List.filter (fun (_, _, nm) -> nm = name) l)
-  | _ -> Alcotest.fail "labels failed"
+let with_server f = Fixture.with_server "xmig" f
+let count_name = Fixture.count_name
 
 let insert_child c ~doc lab name =
   match Client.update c ~doc [ Oplog.Insert_last (lab, Tree.elt name []) ] with

@@ -15,19 +15,8 @@ module Nettorture = Repro_server.Nettorture
 
 let check = Alcotest.check
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  end
-
-let fresh_root =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xres-test-%d-%d" (Unix.getpid ()) !n)
+let fresh_root () = Fixture.fresh_path "xres"
+let rm_rf = Fixture.rm_rf
 
 (* ---- netsim determinism --------------------------------------------- *)
 
@@ -239,25 +228,13 @@ let backoff_delay_keeps_stream () =
 
 (* ---- exactly-once dedup --------------------------------------------- *)
 
-let with_server f =
-  let root = fresh_root () in
-  let t = Server.start { (Server.default_config ~root) with fsync_every = 1 } in
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Server.stop t);
-      rm_rf root)
-    (fun () -> f t)
+let with_server f = Fixture.with_server "xres" f
+let count_name = Fixture.count_name
 
 let open_root c ~doc =
   match Client.open_doc c ~doc ~scheme:"QED" ~nodes:2 ~seed:5 with
   | Ok (P.Opened { ok_root; _ }) -> ok_root
   | _ -> Alcotest.fail "open failed"
-
-let count_name c ~doc name =
-  match Client.labels c ~doc ~limit:10_000 with
-  | Ok (P.Labels_r l) ->
-    List.length (List.filter (fun (_, _, nm) -> nm = name) l)
-  | _ -> Alcotest.fail "labels failed"
 
 let upd ~seq ~name lab =
   P.Update
@@ -325,8 +302,11 @@ let dedup_survives_recovery () =
 (* A draining server whose final fsync fails answers each parked mutation
    with Shutting_down after applying it, and the journal keeps it for the
    next start. So the anonymous update comes back as the error, while the
-   identified one chases [resolve] to the restart and dedups there. *)
-let shutting_down_resends_only_deduped () =
+   identified one chases [resolve] to the restart and dedups there. [fail]
+   aims the fsync failure: [At] fails only the final flush, so the
+   checkpoint after it absorbs the log and the window must be rejournalled;
+   [From] fails every later fsync, a dead disk. *)
+let shutting_down_resends_only_deduped fail () =
   let root = fresh_root () in
   (* no flush cycle runs in test time: both replies stay parked *)
   let cfg =
@@ -368,7 +348,7 @@ let shutting_down_resends_only_deduped () =
     Thread.delay 0.01
   done;
   Client.close c0;
-  Failpoint.arm ctl [ (Failpoint.From (Failpoint.calls ctl + 1), Failpoint.Fsync_fail) ];
+  Failpoint.arm ctl [ (fail (Failpoint.calls ctl + 1), Failpoint.Fsync_fail) ];
   ignore (Server.stop t);
   check Alcotest.(pair string int) "the anonymous update gets the error, unresent"
     ("shutting-down", 0) (anon ());
@@ -573,7 +553,9 @@ let suite =
     Alcotest.test_case "dedup window" `Quick dedup_exactly_once;
     Alcotest.test_case "dedup survives recovery" `Quick dedup_survives_recovery;
     Alcotest.test_case "Shutting_down resends only what dedup protects" `Quick
-      shutting_down_resends_only_deduped;
+      (shutting_down_resends_only_deduped (fun n -> Failpoint.At n));
+    Alcotest.test_case "Shutting_down resends on a dead disk" `Quick
+      (shutting_down_resends_only_deduped (fun n -> Failpoint.From n));
     Alcotest.test_case "overload sheds typed errors" `Quick overload_sheds_typed;
     Alcotest.test_case "retries ride out injected faults" `Quick retry_through_faults;
     Alcotest.test_case "queries resend freely" `Quick query_resends_freely;

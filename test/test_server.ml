@@ -14,18 +14,8 @@ module Loadgen = Repro_server.Loadgen
 
 let check = Alcotest.check
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
-let fresh_root =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xsrv-test-%d-%d" (Unix.getpid ()) !n)
+let fresh_root () = Fixture.fresh_path "xsrv"
+let rm_rf = Fixture.rm_rf
 
 let with_server ?(fsync_every = 1) ?root f =
   let root = match root with Some r -> r | None -> fresh_root () in
@@ -291,11 +281,7 @@ let loadgen_mixed () =
 
 (* ---- durability ------------------------------------------------------ *)
 
-let flat (session : Core.Session.t) =
-  List.map
-    (fun (n : Tree.node) ->
-      (n.Tree.name, n.Tree.value, Tree.level n, session.Core.Session.label_string n))
-    (Tree.preorder session.Core.Session.doc)
+let flat = Fixture.flat
 
 (* Kill the server mid-load (abort: no checkpoint, flush or close) and
    recover the journal it wrote. With fsync_every=1 every confirmed op is

@@ -105,7 +105,18 @@ let references_in_payloads () =
          insert <y>a&amp;b</y> into //auction[@id='a2']|});
   let values path = List.map (fun (r : Encoding.row) -> r.value) (q s path) in
   check Alcotest.(list (option string)) "character reference" [ Some "A" ] (values "//x");
-  check Alcotest.(list (option string)) "entity reference" [ Some "a&b" ] (values "//y")
+  check Alcotest.(list (option string)) "entity reference" [ Some "a&b" ] (values "//y");
+  (* a bare '&' in CDATA or a comment opens no reference: the ';' after
+     it still separates *)
+  let r =
+    Update_lang.run s
+      {|insert <z><![CDATA[a & b]]></z> before //auction[@id='a1'];
+        insert <w><!-- & --></w> into //auction[@id='a2']; delete //x|}
+  in
+  check Alcotest.int "three statements" 3 r.Update_lang.executed;
+  check Alcotest.(list (option string)) "CDATA kept" [ Some "a & b" ] (values "//z");
+  check Alcotest.int "commented payload placed" 1 (count s "//w");
+  check Alcotest.int "third statement ran" 0 (count s "//x")
 
 let parse_roundtrip () =
   let script =
