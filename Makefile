@@ -1,4 +1,4 @@
-.PHONY: all build test loc bench-smoke bench-hotpath torture-smoke server-smoke failover-smoke cluster-smoke nettorture-smoke query-smoke migrate-smoke check clean
+.PHONY: all build test loc bench-smoke bench-hotpath bench-axis torture-smoke server-smoke failover-smoke cluster-smoke nettorture-smoke query-smoke migrate-smoke check clean
 
 all: build
 
@@ -29,6 +29,14 @@ bench-smoke: build
 # diverges from its recomputation. It prints only; it writes no file.
 bench-hotpath: build
 	dune exec bench/main.exe -- hotpath
+
+# The incremental axis index's upkeep on one seeded insert/delete
+# sequence (with a hot region below the root) at 20k and ~45k nodes.
+# Exits non-zero if ranks renumbered per op at ~45k exceed 1.25x the 20k
+# figure or 2 log2 of either document's size, or if either index differs
+# from a rebuild. Timings are printed, not gated; it writes no file.
+bench-axis: build
+	dune exec bench/main.exe -- axis
 
 # Crash-consistency torture: a small seeded workload, a power cut at every
 # syscall boundary, recovery verified on every surviving disk image. Exits
@@ -113,7 +121,7 @@ migrate-smoke: build
 	  --root _build/migrate-smoke --clients 4 --ops 2000 --seed 4 \
 	  --nodes 60 --migrate-every 25 --schemes QED,ORDPATH
 
-check: build test bench-smoke bench-hotpath torture-smoke server-smoke failover-smoke cluster-smoke nettorture-smoke query-smoke migrate-smoke
+check: build test bench-smoke bench-hotpath bench-axis torture-smoke server-smoke failover-smoke cluster-smoke nettorture-smoke query-smoke migrate-smoke
 
 clean:
 	dune clean

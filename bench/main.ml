@@ -1,5 +1,5 @@
 (* The benchmark harness for what no [xmlrepro] command or tier-1 test
-   runs. Three sections, each printing to stdout and failing through its
+   runs. Four sections, each printing to stdout and failing through its
    exit code; none writes a file:
 
    - hotpath: timings of the incremental measurement path, then the
@@ -8,9 +8,13 @@
    - query: the incremental axis index raced against rebuild-per-revision
      and scan evaluation on one seeded 95/5 query/mutation stream; fails
      on any answer disagreement or on a speedup below 5x over rebuild;
+   - axis: the incremental axis index's upkeep on one seeded
+     insert/delete sequence at 20k and ~45k nodes; fails if ranks
+     renumbered per op grow by more than 1.25x or pass 2 log2 of the
+     document's size (part of [make check]);
    - micro: Bechamel micro-benchmarks of the per-scheme core operations.
 
-   Usage: dune exec bench/main.exe              (all three)
+   Usage: dune exec bench/main.exe              (all four)
           dune exec bench/main.exe -- hotpath   (one or more sections)
 
    The paper's figures, matrix and claims are [xmlrepro report]; the
@@ -20,6 +24,9 @@
 
 open Repro_xml
 open Repro_workload
+
+(* Wall-clock nanoseconds, the [clock] the incremental axis index is timed by. *)
+let wall_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
 let section title =
   Printf.printf "\n============================================================\n";
@@ -240,8 +247,7 @@ let run_query () =
   let inc_stats = ref None in
   let inc_s, inc_counts =
     race "incremental" 1 (fun doc ->
-        let clock () = Int64.of_float (Unix.gettimeofday () *. 1e9) in
-        let inc = E.Axis_inc.create ~clock doc in
+        let inc = E.Axis_inc.create ~clock:wall_ns doc in
         ( (fun qi ->
             E.Xpath.eval_src_ast (E.Axis_inc.source (E.Axis_inc.snapshot inc)) parsed.(qi)),
           fun () ->
@@ -306,6 +312,91 @@ let run_query () =
   if vs_rebuild < 5.0 then begin
     Printf.printf "FAIL: incremental only %.1fx over rebuild-per-revision (need >= 5x)\n"
       vs_rebuild;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Axis: incremental axis index upkeep at two document sizes          *)
+(* ------------------------------------------------------------------ *)
+
+(* Equal work at two sizes: one seeded insert/delete sequence applied to
+   a 20k-node and a ~45k-node document, each followed by an incremental
+   axis index. Of every 100 steps, 40 insert into a hot region just below
+   the root (a first child of the root, or next to the newest hot node,
+   either side), 35 insert next to or under a random element of the
+   original document, and 25 delete a random earlier cold insert. Ranks
+   renumbered per op must not grow with the document: the run fails if
+   the ~45k figure exceeds 1.25x the 20k one, if either exceeds 2 log2 of
+   its document's size (the old doubling-window rule renumbered 58.5 per
+   op at both sizes, flat but not logarithmic), or if either index
+   differs from a rebuild at the end. Timings are printed, not gated. *)
+let run_axis () =
+  section "AXIS — incremental axis index upkeep at 20k and ~45k nodes";
+  let module E = Repro_encoding in
+  let ops = 6000 and seed = 29 in
+  let x = Tree.elt "x" [] in
+  let run nodes =
+    let doc = Docgen.generate ~seed { Docgen.default_shape with target_nodes = nodes } in
+    let size = Tree.size doc and root = Tree.root doc in
+    let elements =
+      Array.of_list
+        (Tree.fold_preorder
+           (fun acc n -> if n.Tree.kind = Tree.Element && n != root then n :: acc else acc)
+           [] doc)
+    in
+    let inc = E.Axis_inc.create ~clock:wall_ns doc in
+    let rng = Repro_codes.Prng.create seed in
+    let hot = ref None and cold = ref [||] and n_cold = ref 0 in
+    for _ = 1 to ops do
+      let r = Repro_codes.Prng.int rng 100 and side = Repro_codes.Prng.bool rng in
+      if r < 40 then
+        hot :=
+          Some
+            (match !hot with
+            | Some n when side -> Tree.insert_after doc n x
+            | Some n when Repro_codes.Prng.bool rng -> Tree.insert_before doc n x
+            | _ -> Tree.insert_first_child doc root x)
+      else if r < 75 then begin
+        let f = Repro_codes.Prng.float rng 1.0 in
+        let n = elements.(int_of_float (f *. float_of_int (Array.length elements))) in
+        let fresh = if side then Tree.insert_first_child doc n x else Tree.insert_after doc n x in
+        if !n_cold = Array.length !cold then
+          cold := Array.append !cold (Array.make (max 16 !n_cold) fresh);
+        !cold.(!n_cold) <- fresh;
+        incr n_cold
+      end
+      else if !n_cold > 0 then begin
+        let i = Repro_codes.Prng.int rng !n_cold in
+        Tree.delete doc !cold.(i);
+        decr n_cold;
+        !cold.(i) <- !cold.(!n_cold)
+      end
+    done;
+    let st = E.Axis_inc.stats inc in
+    let verdict = E.Axis_inc.verify inc in
+    E.Axis_inc.detach inc;
+    let per_op = float_of_int st.E.Axis_inc.renumbered /. float_of_int st.E.Axis_inc.ops in
+    Printf.printf "  %6d nodes: %5d ops, %7.2f ranks renumbered/op, %7.1f us/op\n%!"
+      size st.E.Axis_inc.ops per_op
+      (Int64.to_float st.E.Axis_inc.ns /. 1e3 /. float_of_int st.E.Axis_inc.ops);
+    (match verdict with
+    | Ok () -> ()
+    | Error msg ->
+      Printf.printf "FAIL: the index at %d nodes differs from a rebuild: %s\n" size msg;
+      exit 1);
+    let bound = 2.0 *. Float.log2 (float_of_int size) in
+    if per_op > bound then begin
+      Printf.printf "FAIL: %.1f ranks renumbered per op at %d nodes (bound 2 log2 n = %.1f)\n"
+        per_op size bound;
+      exit 1
+    end;
+    per_op
+  in
+  let small = run 20_000 and large = run 45_000 in
+  let ratio = large /. small in
+  Printf.printf "renumbered/op at ~45k vs 20k: %.2fx (limit 1.25x)\n" ratio;
+  if ratio > 1.25 then begin
+    Printf.printf "FAIL: renumbering per op grows with the document\n";
     exit 1
   end
 
@@ -413,10 +504,11 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let sections = [ ("hotpath", run_hotpath); ("query", run_query); ("micro", run_micro) ]
+let sections =
+  [ ("hotpath", run_hotpath); ("query", run_query); ("axis", run_axis); ("micro", run_micro) ]
 
 let () =
-  (* argv = zero or more section names; none = all three, in order *)
+  (* argv = zero or more section names; none = all four, in order *)
   let wanted = List.tl (Array.to_list Sys.argv) in
   List.iter
     (fun s ->

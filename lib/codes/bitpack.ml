@@ -1,25 +1,41 @@
+(* [acc] holds the [used] < 8 bits of the partial byte; [write_bits]
+   shifts a whole field in and emits every byte it completes. *)
 type writer = { buf : Buffer.t; mutable acc : int; mutable used : int; mutable total : int }
 
 let writer () = { buf = Buffer.create 16; acc = 0; used = 0; total = 0 }
-
-let flush_byte w =
-  Buffer.add_char w.buf (Char.chr (w.acc land 0xFF));
-  w.acc <- 0;
-  w.used <- 0
 
 let write_bit w b =
   w.acc <- (w.acc lsl 1) lor (if b then 1 else 0);
   w.used <- w.used + 1;
   w.total <- w.total + 1;
-  if w.used = 8 then flush_byte w
+  if w.used = 8 then begin
+    Buffer.add_char w.buf (Char.unsafe_chr w.acc);
+    w.acc <- 0;
+    w.used <- 0
+  end
+
+(* Up to 7 pending bits plus [n] <= 55 new ones fit the 63-bit int. *)
+let rec put w v n =
+  if n > 55 then begin
+    put w (v lsr 32) (n - 32);
+    put w (v land 0xFFFF_FFFF) 32
+  end
+  else begin
+    let acc = (w.acc lsl n) lor v and used = ref (w.used + n) in
+    while !used >= 8 do
+      used := !used - 8;
+      Buffer.add_char w.buf (Char.unsafe_chr ((acc lsr !used) land 0xFF))
+    done;
+    w.acc <- acc land ((1 lsl !used) - 1);
+    w.used <- !used
+  end
 
 let write_bits w v n =
   if n < 0 || n > 62 then invalid_arg "Bitpack.write_bits: width out of range";
   if n < 62 && v lsr n <> 0 then invalid_arg "Bitpack.write_bits: value does not fit";
   if v < 0 then invalid_arg "Bitpack.write_bits: negative value";
-  for i = n - 1 downto 0 do
-    write_bit w ((v lsr i) land 1 = 1)
-  done
+  put w v n;
+  w.total <- w.total + n
 
 let write_bitstr w b =
   for i = 0 to Bitstr.length b - 1 do
@@ -29,12 +45,14 @@ let write_bitstr w b =
 let bit_length w = w.total
 
 let contents w =
-  let pending = w.used in
-  if pending = 0 then Buffer.contents w.buf
+  if w.used = 0 then Buffer.contents w.buf
   else begin
     (* Zero-pad the final partial byte without disturbing the writer. *)
-    let tail = Char.chr ((w.acc lsl (8 - pending)) land 0xFF) in
-    Buffer.contents w.buf ^ String.make 1 tail
+    let len = Buffer.length w.buf in
+    let b = Bytes.create (len + 1) in
+    Buffer.blit w.buf 0 b 0 len;
+    Bytes.unsafe_set b len (Char.unsafe_chr (w.acc lsl (8 - w.used)));
+    Bytes.unsafe_to_string b
   end
 
 type reader = { data : string; total_bits : int; mutable pos : int }
@@ -48,11 +66,19 @@ let read_bit r =
   r.pos <- r.pos + 1;
   bit
 
+(* A byte's worth of bits per round: the rest of the current byte, or
+   what is left of the field. *)
 let read_bits r n =
   if n < 0 || n > 62 then invalid_arg "Bitpack.read_bits: width out of range";
-  let v = ref 0 in
-  for _ = 1 to n do
-    v := (!v lsl 1) lor (if read_bit r then 1 else 0)
+  if n > r.total_bits - r.pos then invalid_arg "Bitpack.read_bits: past the end";
+  let v = ref 0 and left = ref n in
+  while !left > 0 do
+    let avail = 8 - (r.pos land 7) in
+    let take = min avail !left in
+    let byte = Char.code (String.unsafe_get r.data (r.pos lsr 3)) in
+    v := (!v lsl take) lor ((byte lsr (avail - take)) land ((1 lsl take) - 1));
+    r.pos <- r.pos + take;
+    left := !left - take
   done;
   !v
 
@@ -77,9 +103,7 @@ let gamma_bits v =
 let write_gamma w v =
   if v < 1 then invalid_arg "Bitpack.write_gamma: value must be positive";
   let width = bit_width v in
-  for _ = 1 to width - 1 do
-    write_bit w false
-  done;
+  write_bits w 0 (width - 1);
   write_bits w v width
 
 let read_gamma r =

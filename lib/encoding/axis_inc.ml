@@ -3,12 +3,11 @@ module Imap = Map.Make (Int)
 module Smap = Map.Make (String)
 module Iset = Set.Make (Int)
 
-(* Initial spacing between consecutive ranks, and the smallest spacing a
-   renumbering pass restores. 2^32 leaves room for ~2^29 nodes below
-   max_int; 64 means a renumbered window absorbs ~6 splits before it is
-   renumbered again. *)
+(* Spacing between consecutive ranks at build time, and between ranks
+   appended at either end of a plane: 2^32 leaves room for ~2^30 nodes
+   below max_int. Gaps inside the plane are closed by [alloc]'s
+   density-threshold renumbering. *)
 let gap = 1 lsl 32
-let min_step = 64
 
 let kind_of = function
   | Tree.Element -> Encoding.Element
@@ -186,83 +185,71 @@ let remove_cell at snap (pre, c) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rank allocation: list labelling with a doubling renumber window      *)
+(* Rank allocation: density-threshold list labelling                   *)
 (* ------------------------------------------------------------------ *)
+
+(* How many ranks an aligned range of 2^i may hold after a renumbering:
+   (2/T)^i with T = 3/2, the density thresholds of Bender, Cole,
+   Demaine, Farach-Colton and Zito ("Two simplified algorithms for
+   maintaining order in a list", ESA 2002). Renumbering the smallest
+   range within its threshold leaves each half at most 1/T of its own,
+   so the ranks a range absorbs before it overflows again pay for its
+   renumbering: O(log n) ranks renumbered per insert, amortized, for
+   every insertion pattern. *)
+let capacity = Array.init 63 (fun i -> Float.to_int (Float.pow (4. /. 3.) (float_of_int i)))
 
 (* Allocate [k] fresh increasing ranks strictly between [lo] and [hi]
    (0 / max_int are the "no neighbour" sentinels; every real rank is
-   positive and below max_int). When the gap is too tight, absorb
-   neighbouring ranks into a window that doubles each round until the
-   window's density allows [min_step] spacing — the classic list-labelling
-   scheme, O(log n) amortized per allocation. Returns the fresh ranks and
-   the (old, new) remapping of absorbed neighbours. *)
+   positive and below max_int). A gap with room takes evenly spaced
+   ranks, at most [gap] apart next to a sentinel, so appends at either
+   end of a plane cost what the build did. An exhausted gap renumbers
+   the smallest aligned range of 2^i ranks around it whose live ranks
+   plus the [k] fresh ones are within [capacity.(i)] (at the top level,
+   the whole plane whatever its density), spreading them evenly across
+   it. Returns the fresh ranks and the (old, new) remapping of
+   the renumbered ranks that moved. *)
 let alloc keys ~lo ~hi ~k =
-  let fits a b m = (b - a) / (m + k + 1) >= min_step in
-  if fits lo hi 0 then begin
+  if hi - lo > k then begin
     let step = (hi - lo) / (k + 1) in
-    (List.init k (fun i -> lo + ((i + 1) * step)), [])
+    let fresh =
+      if lo = 0 && hi < max_int then List.init k (fun j -> hi - ((k - j) * min gap step))
+      else if hi = max_int then List.init k (fun j -> lo + ((j + 1) * min gap step))
+      else List.init k (fun j -> lo + ((j + 1) * step))
+    in
+    (fresh, [])
   end
   else begin
-    (* left/right hold absorbed ranks nearest-the-gap first; a/b are the
-       exclusive fixed bounds of the window. *)
-    let left = ref [] and right = ref [] in
-    let a = ref lo and b = ref hi in
-    let count () = List.length !left + List.length !right in
-    let absorb_left () =
-      if !a <= 0 then false
-      else begin
-        left := !a :: !left;
-        (a :=
-           match Imap.find_last_opt (fun x -> x < List.hd !left) keys with
-           | Some (x, _) -> x
-           | None -> 0);
-        true
-      end
+    (* Every aligned range around the gap holds [p], the rank after [lo];
+       its live ranks below [p] precede the fresh ones, the rest follow. *)
+    let p = lo + 1 in
+    (* the live ranks of the range of 2^i, or None past [limit] of them *)
+    let live i limit =
+      let mask = if i >= 62 then max_int else (1 lsl i) - 1 in
+      let last = p lor mask in
+      let rec go acc n seq =
+        if n > limit then None
+        else
+          match seq () with
+          | Seq.Cons ((x, _), rest) when x <= last -> go (x :: acc) (n + 1) rest
+          | _ -> Some (p land lnot mask, last, List.rev acc)
+      in
+      go [] 0 (Imap.to_seq_from (p land lnot mask) keys)
     in
-    let absorb_right () =
-      if !b = max_int then false
-      else begin
-        right := !b :: !right;
-        (b :=
-           match Imap.find_first_opt (fun x -> x > List.hd !right) keys with
-           | Some (x, _) -> x
-           | None -> max_int);
-        true
-      end
+    let rec level i =
+      match live i (if i = 62 then max_int else capacity.(i) - k) with
+      | Some found -> found
+      | None -> level (i + 1)
     in
-    let rec widen () =
-      if fits !a !b (count ()) then ()
-      else begin
-        let target = (2 * count ()) + 1 in
-        let progress = ref false in
-        while
-          count () < target
-          &&
-          let l = absorb_left () in
-          let r = absorb_right () in
-          if l || r then progress := true;
-          l || r
-        do
-          ()
-        done;
-        if fits !a !b (count ()) then ()
-        else if !progress then widen ()
-        else failwith "Axis_inc: rank space exhausted"
-      end
-    in
-    widen ();
-    (* [left] was built by prepending ever-smaller ranks, so it is already
-       ascending; [right] by prepending ever-larger ones, so reverse it. *)
-    let lefts = !left and rights = List.rev !right in
-    let m_left = List.length lefts in
-    let total = count () + k in
-    let step = (!b - !a) / (total + 1) in
-    let pos j = !a + ((j + 1) * step) in
-    let remaps =
-      List.mapi (fun i key -> (key, pos i)) lefts
-      @ List.mapi (fun i key -> (key, pos (m_left + k + i))) rights
-    in
-    (List.init k (fun i -> pos (m_left + i)), remaps)
+    let base, last, ranks = level 1 in
+    let left, right = List.partition (fun x -> x < p) ranks in
+    let a = max base 1 in
+    let step = (min last (max_int - 1) - a + 1) / (List.length ranks + k) in
+    let pos j = a + (j * step) + (step / 2) in
+    let nl = List.length left in
+    let moved = List.filter (fun (o, n) -> o <> n) in
+    ( List.init k (fun j -> pos (nl + j)),
+      moved (List.mapi (fun j x -> (x, pos j)) left)
+      @ moved (List.mapi (fun j x -> (x, pos (nl + k + j))) right) )
   end
 
 (* Renumbered pre ranks appear as map keys in [plane] and as set members

@@ -10,9 +10,13 @@
     Ranks are {e gap-ranked} (list labelling): nodes carry sparse integer
     pre/post ranks spaced [2^32] apart at build time; an insert takes fresh
     ranks from the gap between its document-order neighbours, and when a
-    gap is exhausted a neighbourhood window — doubling until it is sparse
-    enough — is renumbered locally. The region predicates only ever compare
-    ranks, so sparse ranks answer exactly the queries dense ones do.
+    gap is exhausted the smallest aligned rank range of [2^i] around it
+    whose ranks, fresh ones included, number at most [(4/3)^i] is
+    renumbered evenly — the density thresholds of Bender, Cole, Demaine,
+    Farach-Colton and Zito (ESA 2002), which bound the ranks renumbered to
+    O(log n) amortized per insert for every insertion pattern. The region
+    predicates only ever compare ranks, so sparse ranks answer exactly the
+    queries dense ones do.
 
     All index state lives in persistent maps: {!snapshot} is O(1), and the
     returned {!snap} is immutable — safe to publish through an [Atomic] and
@@ -88,7 +92,7 @@ val verify : t -> (unit, string) result
 
 type stats = {
   ops : int;  (** mutations folded in *)
-  renumbered : int;  (** ranks rewritten by window renumbering *)
+  renumbered : int;  (** ranks rewritten by range renumbering *)
   ns : int64;  (** total maintenance time, under [clock] *)
 }
 

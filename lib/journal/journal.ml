@@ -76,10 +76,20 @@ module Resolver = struct
     rs : Core.Session.t;
     table : (string * int, Tree.node list) Hashtbl.t;
     mutable dirty : bool;
+    clock : unit -> int64;
+    on_rebuild : int -> unit;
   }
 
-  let create rs =
-    { rs; table = Hashtbl.create (max 256 (Tree.size rs.Core.Session.doc)); dirty = true }
+  let create ?(clock = fun () -> 0L) ?(on_rebuild = ignore) rs =
+    {
+      rs;
+      table = Hashtbl.create (max 256 (Tree.size rs.Core.Session.doc));
+      dirty = true;
+      clock;
+      on_rebuild;
+    }
+
+  let invalidate r = r.dirty <- true
 
   let add_node r (n : Tree.node) =
     let key = r.rs.Core.Session.label_encoded_direct n in
@@ -100,9 +110,11 @@ module Resolver = struct
   (* [clear] keeps the bucket array: a relabel leaves the node count
      about where it was, so the table never regrows from scratch *)
   let rebuild r =
+    let t0 = r.clock () in
     Hashtbl.clear r.table;
     Tree.iter_preorder (add_node r) r.rs.Core.Session.doc;
-    r.dirty <- false
+    r.dirty <- false;
+    r.on_rebuild (Int64.to_int (Int64.sub (r.clock ()) t0))
 
   let resolve r (l : Oplog.label) =
     if r.dirty then rebuild r;

@@ -182,8 +182,15 @@ module Resolver : sig
   type t
   (** One resolver bound to one session. *)
 
-  val create : Core.Session.t -> t
-  (** The table is built lazily on first {!resolve}. *)
+  val create : ?clock:(unit -> int64) -> ?on_rebuild:(int -> unit) -> Core.Session.t -> t
+  (** The table is built lazily on first {!resolve}. Every full build
+      (the first, and each after churn or {!invalidate}) calls
+      [on_rebuild] with its duration in nanoseconds under [clock] (a
+      monotonic counter; it defaults to a zero clock). *)
+
+  val invalidate : t -> unit
+  (** Drop the table: the next {!resolve} rebuilds it from the
+      document. For a caller whose operation failed part-way. *)
 
   val resolve : t -> Oplog.label -> Repro_xml.Tree.node
   (** The unique live node carrying this encoded label. Raises

@@ -178,7 +178,7 @@ type doc = {
       (** fed by the document's {!Tree} observer under [d_mu]; snapshotted
           into [d_pub] on every publish *)
   d_qcache : Query_eval.cache;  (** wire-query answers, reused across revisions *)
-  mutable d_resolver : Journal.Resolver.t;
+  d_resolver : Journal.Resolver.t;
   d_pub : published Atomic.t;
   d_role : role Atomic.t;
   d_ship : Ship.t option;  (** [Some] iff this doc was created as a follower *)
@@ -339,7 +339,7 @@ let exec_update cfg d ops =
        names the offender so the client can account for the prefix *)
     P.Err (e, Printf.sprintf "op %d: %s" (!applied + 1) msg)
   | Journal.Replay_error msg ->
-    d.d_resolver <- Journal.Resolver.create d.d_view;
+    Journal.Resolver.invalidate d.d_resolver;
     P.Err (P.Unknown_label, msg)
 
 let exec_labels d limit =
@@ -812,7 +812,12 @@ let register_doc t name ~durable ~role ~ship =
       d_pack = pack;
       d_inc = inc;
       d_qcache = Query_eval.cache ();
-      d_resolver = Journal.Resolver.create view;
+      d_resolver =
+        Journal.Resolver.create ~clock:Metrics.monotonic_ns
+          ~on_rebuild:(fun ns ->
+            Metrics.record t.metrics ~key:(Printf.sprintf "doc/%s/resolver_rebuild" name) ~ok:true
+              ~ns)
+          view;
       d_pub = Atomic.make (publish_of view pack durable inc);
       d_role = Atomic.make role;
       d_ship = ship;
@@ -1186,7 +1191,7 @@ let exec_migrate_checked t d specs =
       P.Err (P.Bad_request, Printf.sprintf "operator %d: %s" !opno msg)
     | Reject (e, msg) -> P.Err (e, Printf.sprintf "operator %d: %s" !opno msg)
     | Journal.Replay_error msg ->
-      d.d_resolver <- Journal.Resolver.create d.d_view;
+      Journal.Resolver.invalidate d.d_resolver;
       P.Err (P.Unknown_label, msg)
   in
   (* blast-radius accounting covers whatever prefix actually ran *)

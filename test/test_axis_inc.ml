@@ -189,6 +189,39 @@ let renumbering_stamps_nothing () =
     (Axis_inc.changed_at after "u");
   Axis_inc.detach inc
 
+(* Density-threshold list labelling bounds renumbering to O(log n)
+   amortized per insert whatever the insertion pattern: 4000 inserts
+   hammered into one spot, four ways, must renumber at most 2 log2 4000
+   ranks per insert on average, and the index must still equal a
+   rebuild. *)
+let renumbering_stays_logarithmic () =
+  let inserts = 4000 in
+  let bound = 2.0 *. Float.log2 (float_of_int inserts) in
+  let hammer name insert =
+    let doc = Repro_xml.Parser.parse "<r><a><b/><c/></a><d/></r>" in
+    let inc = Axis_inc.create doc in
+    let a = find doc "a" and newest = ref (find doc "b") in
+    for i = 1 to inserts do
+      newest := insert doc a !newest i;
+      if i mod 500 = 0 then
+        match Axis_inc.verify inc with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "%s: diverged after %d inserts: %s" name i msg
+    done;
+    let per_insert =
+      float_of_int (Axis_inc.stats inc).Axis_inc.renumbered /. float_of_int inserts
+    in
+    if per_insert > bound then
+      Alcotest.failf "%s: %.1f ranks renumbered per insert (bound %.1f)" name per_insert bound;
+    Axis_inc.detach inc
+  in
+  let x = Tree.elt "x" [] in
+  hammer "insert_first under one parent" (fun doc a _ _ -> Tree.insert_first_child doc a x);
+  hammer "insert_last under one parent" (fun doc a _ _ -> Tree.insert_last_child doc a x);
+  hammer "insert_after the newest node" (fun doc _ n _ -> Tree.insert_after doc n x);
+  hammer "zig-zag around the newest node" (fun doc _ n i ->
+      if i mod 2 = 0 then Tree.insert_after doc n x else Tree.insert_before doc n x)
+
 (* Every primitive stamps the children of the parent it acts under, at
    the new revision, and no other name's stamps. *)
 let kids_stamps_follow_primitives () =
@@ -265,6 +298,7 @@ let suite =
       `Quick,
       value_change_forces_reevaluation );
     ("renumbering a rank window stamps nothing", `Quick, renumbering_stamps_nothing);
+    ("renumbering stays logarithmic under hammering", `Quick, renumbering_stays_logarithmic);
     ("every primitive stamps its parent's children", `Quick, kids_stamps_follow_primitives);
     ("of_index never skips", `Quick, of_index_never_skips);
     ("the stamp map stays bounded by the live names", `Quick, stamps_stay_bounded);

@@ -24,6 +24,33 @@ let bitpack_roundtrip =
       let r = Bitpack.reader (Bitpack.contents w) in
       List.for_all (fun (v, n) -> Bitpack.read_bits r n = v) fields)
 
+(* The reference layout, one bit at a time: each field most significant
+   bit first, the final byte zero-padded. *)
+let reference_pack fields =
+  let bits =
+    List.concat_map (fun (v, n) -> List.init n (fun i -> (v lsr (n - 1 - i)) land 1 = 1)) fields
+  in
+  let b = Bytes.make ((List.length bits + 7) / 8) '\000' in
+  List.iteri
+    (fun i bit ->
+      if bit then
+        Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lor (0x80 lsr (i mod 8)))))
+    bits;
+  (Bytes.to_string b, List.length bits)
+
+let bitpack_wide_fields =
+  QCheck.Test.make ~name:"Bitpack fields of width 0..62 match a bit-at-a-time writer" ~count:500
+    QCheck.(list (pair int (int_range 0 62)))
+    (fun fields ->
+      let fields =
+        List.map (fun (v, n) -> ((if n = 62 then v land max_int else v land ((1 lsl n) - 1)), n)) fields
+      in
+      let w = Bitpack.writer () in
+      List.iter (fun (v, n) -> Bitpack.write_bits w v n) fields;
+      let r = Bitpack.reader (Bitpack.contents w) in
+      (Bitpack.contents w, Bitpack.bit_length w) = reference_pack fields
+      && List.for_all (fun (v, n) -> Bitpack.read_bits r n = v) fields)
+
 let gamma_roundtrip =
   QCheck.Test.make ~name:"Elias gamma roundtrip and size" ~count:300
     (QCheck.int_range 1 1_000_000) (fun v ->
@@ -155,6 +182,7 @@ let suite =
     ("ORDPATH negative components", `Quick, ordpath_negative_components);
     ("malformed codec input", `Quick, malformed_input);
     qcheck bitpack_roundtrip;
+    qcheck bitpack_wide_fields;
     qcheck gamma_roundtrip;
     qcheck roundtrip_all_schemes;
     qcheck accounting_matches;

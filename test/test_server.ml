@@ -683,6 +683,51 @@ let metric t key =
     (fun (m : P.metric) -> m.P.m_key = key)
     (Repro_server.Metrics.snapshot (Server.metrics t))
 
+(* The resolver's full rebuilds are served per document: a Vector
+   document driven into a code overflow by zig-zag inserts rebuilds
+   after it; a QED document, which never relabels, builds once. *)
+let resolver_rebuilds_metered () =
+  with_server (fun t _root ->
+      with_client t (fun c ->
+          let label (l : P.label) = { Oplog.l_bytes = l.P.l_bytes; l_bits = l.P.l_bits } in
+          let insert doc op =
+            match ok (Client.update c ~doc [ op ]) with
+            | P.Updated { up_fresh = [ l ]; up_relabelled; _ } -> (l, up_relabelled)
+            | _ -> Alcotest.fail "insert did not confirm one fresh label"
+          in
+          let rebuilds doc =
+            match ok (Client.metrics c) with
+            | P.Metrics_r ms -> (
+              match List.find_opt (fun m -> m.P.m_key = "doc/" ^ doc ^ "/resolver_rebuild") ms with
+              | Some m -> m.P.m_count
+              | None -> 0)
+            | _ -> Alcotest.fail "metrics"
+          in
+          let v = open_doc c ~doc:"vec" ~scheme:"Vector" in
+          let x = Tree.elt "x" [] in
+          let rec zigzag i newest =
+            if i > 200 then Alcotest.fail "200 zig-zag inserts never overflowed a Vector code";
+            let op =
+              if i mod 2 = 0 then Oplog.Insert_after (label newest, x)
+              else Oplog.Insert_before (label newest, x)
+            in
+            match insert "vec" op with
+            | fresh, false -> zigzag (i + 1) fresh
+            | fresh, true -> fresh
+          in
+          let fresh = zigzag 1 (fst (insert "vec" (Oplog.Insert_last (label v.o_root, x)))) in
+          ignore (insert "vec" (Oplog.Insert_after (label fresh, x)));
+          check Alcotest.bool "a rebuild after the overflow" true (rebuilds "vec" >= 2);
+          let q = open_doc c ~doc:"qed" ~scheme:"QED" in
+          for _ = 1 to 20 do
+            let fresh, _ = insert "qed" (Oplog.Insert_first (label q.o_root, x)) in
+            ignore (insert "qed" (Oplog.Insert_after (label fresh, x)));
+            match ok (Client.update c ~doc:"qed" [ Oplog.Delete (label fresh) ]) with
+            | P.Updated { up_applied = 1; _ } -> ()
+            | _ -> Alcotest.fail "delete did not confirm"
+          done;
+          check Alcotest.int "QED builds its table once" 1 (rebuilds "qed")))
+
 let pipelined_replies_keep_order () =
   with_server (fun t _root ->
       with_client t (fun c -> ignore (open_doc c ~doc:"pipe" ~scheme:"QED" ~nodes:400));
@@ -1064,6 +1109,8 @@ let suite =
       abort_mid_batch_serves_acked_prefix;
     Alcotest.test_case "shared-document soak, zero errors" `Slow shared_docs_soak;
     Alcotest.test_case "paranoid query soak" `Slow paranoid_query_soak;
+    Alcotest.test_case "resolver rebuilds are metered per document" `Quick
+      resolver_rebuilds_metered;
     Alcotest.test_case "pipelined replies keep request order" `Quick
       pipelined_replies_keep_order;
     Alcotest.test_case "a parked ack keeps its place" `Quick parked_ack_keeps_order;
